@@ -68,6 +68,7 @@ from .rounds import (
     RoundInput,
     RoundResult,
     bell_coefficients,
+    bell_diagonal_map,
     bootstrap_round,
     closed_form_fidelity,
     closed_form_general,

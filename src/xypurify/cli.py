@@ -23,6 +23,13 @@ from .errors import XyPurifyError
 from .states import werner
 
 CONFIG_SCHEMA_VERSION = 1
+# JSON type of each montecarlo config key; None is allowed where the
+# ProtocolConfig default is None
+_CONFIG_TYPES = {"trials": int, "f": float, "target_rounds": int,
+                 "target_fidelity": float, "p_inconclusive": float, "seed": int,
+                 "gate_time": float, "restore_extra_time": float,
+                 "message_latency": float}
+_CONFIG_NULLABLE = {"target_rounds", "target_fidelity"}
 
 
 def _fmt(x) -> str:
@@ -42,8 +49,20 @@ def _emit_csv(header: Sequence[str], table: Iterable[Sequence], output: str | No
         click.echo(text, nl=False)
 
 
+def _finite_or_null(value):
+    """Replace non-finite floats, which JSON cannot express, by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit_json(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -236,6 +255,18 @@ def cmd_validate_cavity(delta: float, ell: float, v: float,
     _emit_json(payload, output)
 
 
+def _check_config_type(key: str, value) -> None:
+    expected = _CONFIG_TYPES[key]
+    if value is None and key in _CONFIG_NULLABLE:
+        return
+    # bool is an int subclass in Python but not a JSON number
+    allowed = (int,) if expected is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        kind = "an integer" if expected is int else "a number"
+        raise montecarlo.ConfigurationError(
+            f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+
+
 @main.command("montecarlo")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="JSON configuration file.")
@@ -249,17 +280,19 @@ def cmd_montecarlo(config_path: str, trials_csv: str | None, workers: int,
     """Run seeded protocol trials from a JSON config and emit JSON stats."""
     with open(config_path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise montecarlo.ConfigurationError("config must be a JSON object")
     version = raw.pop("schema_version", None)
-    if version != CONFIG_SCHEMA_VERSION:
+    if isinstance(version, bool) or version != CONFIG_SCHEMA_VERSION:
         raise montecarlo.ConfigurationError(
             f"config schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
-    trials = raw.pop("trials", 1000)
-    known = {"f", "target_rounds", "target_fidelity", "p_inconclusive", "seed",
-             "gate_time", "restore_extra_time", "message_latency"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise montecarlo.ConfigurationError(
             f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        _check_config_type(key, value)
+    trials = raw.pop("trials", 1000)
     config = montecarlo.ProtocolConfig(**raw)
     batch = montecarlo.simulate_batch(config, trials, workers=workers)
     click.echo(

@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .pumping import fixed_point
-from .rounds import RoundInput, closed_form_general, operational_time, run_round
-from .states import fidelity as state_fidelity
-from .states import werner
+from .rounds import bell_diagonal_map, closed_form_general
 
 GATE_TIME_DEFAULT = math.pi / 6.0          # units of 1/J, one gate at n = 0
 RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
@@ -103,14 +101,15 @@ def run_protocol(config: ProtocolConfig, trial: int = 0,
                  audit: bool = False) -> ProtocolStats:
     """Execute one protocol run.
 
-    ``audit=True`` replaces the scalar pump map by the full
-    density-matrix round engine (slow; used to cross-check the fast
-    path on small batches).
+    ``audit=True`` replaces the scalar pump map by the exact Bell-weight
+    round map :func:`xypurify.rounds.bell_diagonal_map` (used to
+    cross-check the fast path on small batches).
     """
     rng = _trial_rng(config.seed, trial)
-    t_gate = operational_time(1.0).t
     f_current = config.f
-    state = werner(config.f, labels=(3, 6)) if audit else None
+    if audit:
+        transfer = bell_diagonal_map(config.f)
+        weights = [config.f] + 3 * [(1.0 - config.f) / 3.0]   # Werner, in BELL_ORDER
 
     history = [f_current]
     attempts_per_round: list[int] = []
@@ -125,9 +124,8 @@ def run_protocol(config: ProtocolConfig, trial: int = 0,
 
     while not done():
         if audit:
-            result = run_round(RoundInput(f=config.f, stationary_state=state,
-                                          t0=t_gate, j=1.0))
-            p_succ = result.success_probability
+            post = transfer @ weights
+            p_succ = float(post.sum())
         else:
             p_succ = closed_form_general(config.f, f_current).success_probability
         attempts += 1
@@ -136,8 +134,8 @@ def run_protocol(config: ProtocolConfig, trial: int = 0,
         elapsed += MESSAGES_PER_ATTEMPT * config.message_latency
         if rng.random() < p_succ * (1.0 - config.p_inconclusive):
             if audit:
-                state = result.post_state
-                f_current = state_fidelity(state)
+                weights = post / p_succ
+                f_current = float(weights[0])
             else:
                 f_current = closed_form_general(config.f, f_current).fidelity
             successes += 1

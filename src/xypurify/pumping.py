@@ -6,11 +6,15 @@ fidelity-f pairs.  Two modes:
 * ``closed_form``: iterate the scalar recurrence F_k = F(T, f, F_{k-1})
   of :func:`xypurify.rounds.closed_form_general`.  This is the map the
   saturation analysis and all reported tables use.
-* ``simulation``: carry the full 4x4 stationary density matrix between
-  rounds through the six-qubit engine.  The exact post-round state is
-  Werner only when f' = f, so from round 3 on the simulated fidelities
-  drift a few 1e-3 above the scalar recurrence; see the tests for the
-  quantified envelope.
+* ``simulation``: carry the four Bell weights of the stored pair between
+  rounds through the exact Bell-weight map
+  :func:`xypurify.rounds.bell_diagonal_map`, which reproduces the
+  six-qubit engine on every Bell-diagonal stored pair.
+
+The two maps agree exactly on Werner stored pairs.  The exact post-round
+state is Werner only when f' = f, so they agree for two rounds; from
+round 3 on they differ only because the scalar recurrence twirls the
+stored pair back to Werner form before each round.
 """
 from __future__ import annotations
 
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .errors import AnalysisError, DomainError
-from .rounds import RoundInput, closed_form_general, operational_time, run_round
-from .states import DensityMatrix, fidelity, werner
+from .rounds import bell_diagonal_map, closed_form_general
 
 SATURATION_THRESHOLD = 0.005   # per-round gain below this counts as saturated
 EPSILON_DEFAULT = 1e-3         # default fixed-point proximity target
@@ -95,28 +98,34 @@ def optimal_rounds(f: float, epsilon: float = EPSILON_DEFAULT) -> int:
 
 def pump(f: float, n: int, mode: PumpMode = "closed_form", j: float = 1.0,
          epsilon: float = EPSILON_DEFAULT) -> PumpTrace:
-    """Run n successful pumping rounds with fresh fidelity-f pairs."""
+    """Run n successful pumping rounds with fresh fidelity-f pairs.
+
+    ``j`` must be nonzero; the rounds at the operational time do not
+    depend on it.
+    """
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs fresh-pair fidelity in (0.5, 1], got {f}")
     if n < 1:
         raise DomainError(f"need at least one round, got n={n}")
     if mode not in ("closed_form", "simulation"):
         raise DomainError(f"unknown pump mode {mode!r}")
+    if j == 0:
+        raise DomainError("coupling J must be nonzero")
 
-    t = operational_time(j).t
     rounds: list[PumpRound] = []
     current_f = f
-    state: DensityMatrix | None = None
     if mode == "simulation":
-        state = werner(f, labels=(3, 6))
+        transfer = bell_diagonal_map(f)
+        weights = [f] + 3 * [(1.0 - f) / 3.0]   # Werner, in BELL_ORDER
     for k in range(1, n + 1):
         if mode == "closed_form":
             step = closed_form_general(f, current_f)
             new_f, p = step.fidelity, step.success_probability
         else:
-            result = run_round(RoundInput(f=f, stationary_state=state, t0=t, j=j))
-            state = result.post_state
-            new_f, p = fidelity(state), result.success_probability
+            post = transfer @ weights
+            p = float(post.sum())
+            weights = post / p
+            new_f = float(weights[0])
         rounds.append(PumpRound(n=k, fidelity=new_f, delta=new_f - current_f,
                                 success_probability=p))
         current_f = new_f

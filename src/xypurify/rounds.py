@@ -182,15 +182,47 @@ class RoundFormulas:
 
 
 def closed_form_general(f: float, f_prime: float) -> RoundFormulas:
-    """Round map at t0 = T for Werner conveyed pairs (f) and stationary (f')."""
+    """Round map at t0 = T for Werner conveyed pairs (f) and stationary (f').
+
+    The fidelity denominator is 972 * success_probability, i.e.
+    59 + 12 f - 20 f^2 + f' (256 f^2 - 64 f).  It is linear in f', and
+    its minimum over [0,1]^2 is 51, at (f, f') = (1, 0): the f' = 0 edge
+    decreases to 51 at f = 1 and the f' = 1 edge stays above 56.  It
+    therefore never vanishes on the domain and needs no singularity
+    check.
+    """
     for name, val in (("f", f), ("f_prime", f_prime)):
         if not 0.0 <= val <= 1.0:
             raise DomainError(f"{name} must lie in [0,1], got {val}")
     num = f_prime * (12.0 * f + 236.0 * f * f - 5.0) - 16.0 * (f - 1.0)
     den = 59.0 + (12.0 - 64.0 * f_prime) * f - 4.0 * (5.0 - 64.0 * f_prime) * f * f
-    p = (59.0 + (12.0 - 64.0 * f_prime) * f
-         + 4.0 * (-5.0 + 64.0 * f_prime) * f * f) / 972.0
-    return RoundFormulas(fidelity=num / den, success_probability=p)
+    return RoundFormulas(fidelity=num / den, success_probability=den / 972.0)
+
+
+# Bell-weight round map at t0 = T, times 2916 = 3 * 972: M(f) =
+# (A + B f + C f^2) / 2916, rows and columns in BELL_ORDER.  Derived
+# from run_round on the four Bell projectors; independent of J.
+_BELL_MAP_A = np.array([[33, 0, 72, 72], [0, 113, 8, 8],
+                        [72, 8, 89, 32], [72, 8, 32, 89]])
+_BELL_MAP_B = np.array([[-12, 96, -120, -120], [96, -172, 200, 200],
+                        [-120, 200, -124, -64], [-120, 200, -64, -124]])
+_BELL_MAP_C = np.array([[708, -96, 48, 48], [-96, 68, -208, -208],
+                        [48, -208, 260, 32], [48, -208, 32, 260]])
+
+
+def bell_diagonal_map(f: float) -> np.ndarray:
+    """Exact round map on the Bell weights of a Bell-diagonal stored pair.
+
+    For Werner conveyed pairs of fidelity f and a stored pair with Bell
+    weights w (``BELL_ORDER``), one round at the operational time leaves
+    the stored pair Bell-diagonal with unnormalised weights M(f) @ w; their
+    sum is the single-outcome success probability.  On Werner stored
+    pairs it reproduces :func:`closed_form_general` exactly; on other
+    Bell-diagonal pairs it is what :func:`run_round` computes.
+    """
+    if not 0.0 <= f <= 1.0:
+        raise DomainError(f"f must lie in [0,1], got {f}")
+    return (_BELL_MAP_A + f * _BELL_MAP_B + f * f * _BELL_MAP_C) / 2916.0
 
 
 def restore(state: DensityMatrix, elapsed: float, j: float,

@@ -225,3 +225,45 @@ class TestMonteCarloCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "trial,attempts"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize("overrides", [
+        {"f": "0.75"},
+        {"f": None},
+        {"trials": 2.5},
+        {"trials": True},
+        {"target_rounds": 2.5},
+        {"target_rounds": False},
+        {"seed": 1.5},
+        {"p_inconclusive": [0.1]},
+        {"schema_version": True},
+    ], ids=["f-string", "f-null", "trials-float", "trials-bool",
+            "target_rounds-float", "target_rounds-bool", "seed-float",
+            "p_inconclusive-list", "schema_version-bool"])
+    def test_wrong_json_types_exit_2(self, runner, tmp_path, overrides):
+        path = self.make_config(tmp_path, **overrides)
+        result = runner.invoke(main, ["montecarlo", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigurationError"
+        assert next(iter(overrides)) in err["message"]
+
+    def test_non_object_config_exit_2(self, runner, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        result = runner.invoke(main, ["montecarlo", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigurationError"
+
+    def test_single_trial_output_is_strict_json(self, runner, tmp_path):
+        # one trial has no halfwidth; JSON has no NaN literal, so it is null
+        path = self.make_config(tmp_path, trials=1)
+        result = run_ok(runner, ["montecarlo", "--config", str(path)])
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(result.stdout, parse_constant=reject)
+        assert payload["attempts_halfwidth"] is None
+        assert payload["time_halfwidth"] is None
+        assert payload["mean_attempts"] > 0

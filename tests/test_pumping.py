@@ -3,11 +3,16 @@ import pytest
 
 from xypurify import (
     DomainError,
+    RoundInput,
     closed_form_general,
+    fidelity,
     fixed_point,
+    operational_time,
     optimal_rounds,
     pump,
+    run_round,
     saturation_table,
+    werner,
 )
 
 
@@ -70,6 +75,23 @@ class TestPump:
                      for a, b in zip(sim.rounds, cf.rounds)]
             assert max(abs(d) for d in diffs) < 5e-3
             assert all(d > -1e-9 for d in diffs)
+
+    @pytest.mark.parametrize("j", [1.0, -0.7, 2.5])
+    @pytest.mark.parametrize("f", [0.6, 0.75, 0.9])
+    def test_simulation_mode_matches_six_qubit_loop(self, f, j):
+        sim = pump(f, 10, mode="simulation", j=j)
+        state = werner(f, labels=(3, 6))
+        t = operational_time(j).t
+        for r in sim.rounds:
+            result = run_round(RoundInput(f=f, stationary_state=state, t0=t, j=j))
+            state = result.post_state
+            assert r.fidelity == pytest.approx(fidelity(state), abs=1e-12)
+            assert r.success_probability == pytest.approx(
+                result.success_probability, abs=1e-12)
+
+    def test_zero_coupling_rejected(self):
+        with pytest.raises(DomainError):
+            pump(0.75, 2, mode="simulation", j=0.0)
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):

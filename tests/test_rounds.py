@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xypurify import (
@@ -11,6 +13,8 @@ from xypurify import (
     ZeroProbabilityError,
     bell_coefficients,
     bell_decompose,
+    bell_diagonal_map,
+    bell_projector,
     bootstrap_round,
     build_xy,
     closed_form_fidelity,
@@ -27,6 +31,8 @@ from xypurify import (
     tensor,
     werner,
 )
+from xypurify import rounds
+from xypurify.states import BELL_ORDER
 
 T = operational_time(1.0).t  # pi/6
 
@@ -76,6 +82,15 @@ class TestClosedForms:
         for f in (0.6, 0.8, 1.0):
             assert closed_form_success(0.0, f) == pytest.approx(
                 ((1 + 2 * f) / 6.0) ** 2, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.floats(0.0, 1.0), fprime=st.floats(0.0, 1.0))
+    @example(f=1.0, fprime=0.0)
+    def test_success_probability_floor(self, f, fprime):
+        # the fidelity denominator is 972 P_succ >= 51 on [0,1]^2, with
+        # equality at (1, 0); the slack covers float rounding only
+        p = closed_form_general(f, fprime).success_probability
+        assert 972.0 * p >= 51.0 - 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -298,3 +313,67 @@ class TestBootstrap:
     def test_nonzero_coherence_seen_by_decomposition(self):
         result = bootstrap_round(0.75, T)
         assert bell_decompose(result.post_state).off_diagonal_norm > 1e-3
+
+
+def oracle_map(f, j=1.0):
+    """Bell-weight map of one six-qubit round, column k from Bell state k."""
+    cols = []
+    for k in BELL_ORDER:
+        stored = DensityMatrix(bell_projector(k).matrix, (3, 6))
+        result = run_round(RoundInput(f=f, stationary_state=stored,
+                                      t0=operational_time(j).t, j=j))
+        weights = bell_decompose(result.post_state).weights
+        cols.append([result.success_probability * weights[b] for b in BELL_ORDER])
+    return np.array(cols).T
+
+
+class TestBellDiagonalMap:
+    def test_integer_coefficients_rederived_from_oracle(self):
+        # 2916 M(f) = A + B f + C f^2, solved from f = 0, 1/2, 1
+        m0, mh, m1 = (2916.0 * oracle_map(f) for f in (0.0, 0.5, 1.0))
+        c = 2.0 * (m1 - 2.0 * mh + m0)
+        b = m1 - m0 - c
+        for derived, pinned in ((m0, rounds._BELL_MAP_A), (b, rounds._BELL_MAP_B),
+                                (c, rounds._BELL_MAP_C)):
+            assert np.abs(derived - np.rint(derived)).max() < 1e-9
+            np.testing.assert_array_equal(np.rint(derived), pinned)
+            np.testing.assert_array_equal(pinned, pinned.T)
+
+    def test_matches_oracle_on_random_bell_diagonal_pairs(self):
+        rng = np.random.default_rng(11)
+        for f in (0.3, 0.6, 0.9):
+            for j in (1.0, -0.7, 2.5):
+                stored = random_bell_diagonal(rng, (3, 6))
+                result = run_round(RoundInput(f=f, stationary_state=stored,
+                                              t0=operational_time(j).t, j=j))
+                w = bell_decompose(stored).weights
+                post = bell_diagonal_map(f) @ [w[k] for k in BELL_ORDER]
+                dec = bell_decompose(result.post_state)
+                assert post.sum() == pytest.approx(result.success_probability,
+                                                   abs=1e-12)
+                np.testing.assert_allclose(
+                    post / post.sum(), [dec.weights[k] for k in BELL_ORDER],
+                    atol=1e-12, rtol=0)
+                assert dec.off_diagonal_norm < 1e-12
+
+    def test_werner_inputs_match_closed_form_exactly(self):
+        # on sixteenths every intermediate of the float closed form is
+        # exact and only its last division rounds, so it must equal the
+        # correctly rounded value of the rational map bit for bit
+        grid = [Fraction(k, 16) for k in (0, 1, 2, 4, 6, 8, 10, 12, 14, 15, 16)]
+        a, b, c = (m.tolist() for m in (rounds._BELL_MAP_A, rounds._BELL_MAP_B,
+                                        rounds._BELL_MAP_C))
+        for f in grid:
+            m = [[Fraction(a[r][s] + b[r][s] * f + c[r][s] * f * f, 2916)
+                  for s in range(4)] for r in range(4)]
+            for fprime in grid:
+                w = [fprime] + 3 * [(1 - fprime) / 3]
+                post = [sum(mr[s] * w[s] for s in range(4)) for mr in m]
+                norm = sum(post)
+                expect = closed_form_general(float(f), float(fprime))
+                assert expect.success_probability == float(norm)
+                assert expect.fidelity == float(post[0] / norm)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            bell_diagonal_map(1.2)
