@@ -138,7 +138,10 @@ def peak_collective_coupling(geom: CavityGeometry, samples: int = 2001) -> float
     """max over the window of the collective coupling sqrt(sum g_k^2)."""
     t_a, t_b = geom.window()
     ts = np.linspace(t_a, t_b, samples)
-    return max(float(np.linalg.norm(_coupling_vector(geom, t))) for t in ts)
+    z1, z2 = geom.z0
+    g1 = geom.g0 * np.exp(-((z1 + geom.v * ts) / geom.w) ** 2)
+    g2 = geom.g0 * np.exp(-((z2 + geom.v * ts) / geom.w) ** 2)
+    return float(np.sqrt(g1 ** 2 + g2 ** 2 + geom.g_trapped ** 2).max())
 
 
 @dataclass(frozen=True)
@@ -200,14 +203,19 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray | AmplitudeState,
     c_init = _check_initial(initial, 4)
     t_a, t_b = window if window is not None else geom.window()
     delta = geom.delta
+    z1, z2 = geom.z0
+    g0, w, v, g3 = geom.g0, geom.w, geom.v, geom.g_trapped
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        c = y[:4] + 1j * y[4:]
-        g = _coupling_vector(geom, t)
-        dc0 = 1j * delta * c[0] + g @ c[1:]
-        datoms = -g * c[0]
-        dc = np.concatenate(([dc0], datoms))
-        return np.concatenate([dc.real, dc.imag])
+        # y = (Re c, Im c); the sums g . c_atoms use np.dot, the reduction
+        # numpy applies to each part of a complex g @ c, so the step
+        # sequence is the one complex arithmetic gives
+        g1 = g0 * math.exp(-((z1 + v * t) / w) ** 2)
+        g2 = g0 * math.exp(-((z2 + v * t) / w) ** 2)
+        g = np.array((g1, g2, g3))
+        r0, i0 = float(y[0]), float(y[4])
+        return np.array((g @ y[1:4] - delta * i0, -g1 * r0, -g2 * r0, -g3 * r0,
+                         g @ y[5:8] + delta * r0, -g1 * i0, -g2 * i0, -g3 * i0))
 
     y0 = np.concatenate([c_init.real, c_init.imag])
     sol = solve_ivp(rhs, (t_a, t_b), y0, method="DOP853",
@@ -400,12 +408,23 @@ class AgreementReport:
 
 
 def xy_agreement(geom: CavityGeometry,
-                 initial: Sequence[complex] = (1.0, 0.0, 0.0)) -> AgreementReport:
-    """Quantify the microscopic-to-ring-exchange reduction for one transit."""
+                 initial: Sequence[complex] = (1.0, 0.0, 0.0), *,
+                 full: Trajectory | None = None) -> AgreementReport:
+    """Quantify the microscopic-to-ring-exchange reduction for one transit.
+
+    ``full`` lets a caller that already holds
+    ``integrate_full(geom, (0, *initial))`` pass it in instead of having
+    it integrated again.
+    """
     c3 = _check_initial(np.asarray(initial, dtype=complex), 3)
     c4 = np.concatenate(([0.0 + 0j], c3))
 
-    full = integrate_full(geom, c4)
+    if full is None:
+        full = integrate_full(geom, c4)
+    elif (full.amplitudes.shape[1] != 4 or not np.allclose(full.amplitudes[0], c4)
+          or (full.times[0], full.times[-1]) != geom.window()):
+        raise DomainError("full trajectory must be integrate_full(geom, (0, *initial)) "
+                          "over the geometry's window")
     eff = integrate_effective(geom, c3)
     tp = geom.t_prime
 

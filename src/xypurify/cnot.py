@@ -11,11 +11,20 @@ Werner inputs the kept-pair fidelity is the rational map
 The sign assignment (plus on A, minus on B) is pinned by requiring the
 simulated circuit to reproduce the closed form to 1e-12; the mirrored
 assignment works equally well, the same-sign ones do not.
+
+With these rotations the round is the DEJMPS protocol (Deutsch et al.,
+PRL 77, 2818, 1996).  A Bell-diagonal source with a Werner(f) target
+stays Bell-diagonal, and its Bell weights follow a 4x4 map in f; the
+fixed point and the optimal round count of :func:`scheme_c_pump` iterate
+that map.  :func:`cnot_round` simulates the four-qubit circuit, computes
+the rounds :func:`scheme_c_pump` reports, and stays the oracle the map
+is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,36 +127,56 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
                                 delta=res.fidelity - current,
                                 success_probability=res.success_probability))
         current = res.fidelity
+    xstar = _scheme_c_fixed_point(f)
     return PumpTrace(
         f=f,
         rounds=tuple(rounds),
         f_hat=current - f,
-        fixed_point=_scheme_c_fixed_point(f),
-        n_optimal=_scheme_c_optimal_rounds(f, EPSILON_DEFAULT),
+        fixed_point=xstar,
+        n_optimal=_scheme_c_optimal_rounds(f, xstar, EPSILON_DEFAULT),
     )
 
 
+def _dejmps_map(f: float) -> np.ndarray:
+    """Bell-weight map of one baseline round with a Werner(f) target.
+
+    A Bell-diagonal source with weights w (``BELL_ORDER``) leaves the
+    round Bell-diagonal with unnormalised weights M @ w; their sum is
+    the success probability, (5 - 4f + 8f^2)/9 on a Werner(f) source.
+    """
+    b = (1.0 - f) / 3.0
+    return np.array([[f, 0.0, 0.0, b],
+                     [b, 0.0, 0.0, f],
+                     [0.0, b, b, 0.0],
+                     [0.0, b, b, 0.0]])
+
+
+def _scheme_c_fidelities(f: float) -> Iterator[float]:
+    """Stored-pair fidelities F_1, F_2, ... of the baseline pump."""
+    transfer = _dejmps_map(f)
+    weights = np.array([f] + 3 * [(1.0 - f) / 3.0])   # Werner, in BELL_ORDER
+    while True:
+        post = transfer @ weights
+        weights = post / post.sum()
+        yield float(weights[0])
+
+
 def _scheme_c_fixed_point(f: float, max_iter: int = 500) -> float:
-    stored = werner(f, labels=_SOURCE)
     prev = f
-    for _ in range(max_iter):
-        res = cnot_round(stored, werner(f, labels=_TARGET))
-        stored = res.post_state
-        if abs(res.fidelity - prev) < 1e-13:
-            return res.fidelity
-        prev = res.fidelity
+    for fid in islice(_scheme_c_fidelities(f), max_iter):
+        if abs(fid - prev) < 1e-13:
+            return fid
+        prev = fid
     raise AnalysisError(f"baseline pump did not converge for f={f}")
 
 
-def _scheme_c_optimal_rounds(f: float, epsilon: float) -> int:
-    target = _scheme_c_fixed_point(f)
-    stored = werner(f, labels=_SOURCE)
+def _scheme_c_optimal_rounds(f: float, target: float, epsilon: float) -> int:
+    """Smallest n with target - F_n < epsilon (F_0 = f)."""
     current = f
+    fidelities = _scheme_c_fidelities(f)
     n = 0
     while target - current >= epsilon:
-        res = cnot_round(stored, werner(f, labels=_TARGET))
-        stored = res.post_state
-        current = res.fidelity
+        current = next(fidelities)
         n += 1
         if n > 10_000:  # pragma: no cover
             raise AnalysisError(f"baseline pump failed to saturate for f={f}")

@@ -30,6 +30,14 @@ RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
 MESSAGES_PER_ATTEMPT = 2
 
 
+def _check_count(name: str, value) -> None:
+    """A count is a Python or numpy integer >= 1; floats and bools are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Stopping rule, noise knob and bookkeeping constants for one run.
@@ -56,8 +64,8 @@ class ProtocolConfig:
         if (self.target_rounds is None) == (self.target_fidelity is None):
             raise ConfigurationError(
                 "set exactly one of target_rounds / target_fidelity")
-        if self.target_rounds is not None and self.target_rounds < 1:
-            raise ConfigurationError("target_rounds must be >= 1")
+        if self.target_rounds is not None:
+            _check_count("target_rounds", self.target_rounds)
         if self.target_fidelity is not None:
             limit = fixed_point(self.f)
             if not self.f <= self.target_fidelity < limit:
@@ -185,10 +193,8 @@ def simulate_batch(config: ProtocolConfig, trials: int,
     Identical results for any worker count: trial streams depend only
     on (seed, trial index) and aggregation is in trial order.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    _check_count("trials", trials)
+    _check_count("workers", workers)
 
     if workers == 1:
         stats = [run_protocol(config, trial) for trial in range(trials)]

@@ -83,9 +83,13 @@ def fixed_point(f: float) -> float:
 
 def optimal_rounds(f: float, epsilon: float = EPSILON_DEFAULT) -> int:
     """Smallest n with fixed_point(f) - F_n < epsilon."""
+    return _rounds_within(f, fixed_point(f), epsilon)
+
+
+def _rounds_within(f: float, target: float, epsilon: float) -> int:
+    """Smallest n with target - F_n < epsilon on the scalar recurrence."""
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    target = fixed_point(f)
     current = f
     n = 0
     while target - current >= epsilon:
@@ -129,12 +133,13 @@ def pump(f: float, n: int, mode: PumpMode = "closed_form", j: float = 1.0,
         rounds.append(PumpRound(n=k, fidelity=new_f, delta=new_f - current_f,
                                 success_probability=p))
         current_f = new_f
+    xstar = fixed_point(f)
     return PumpTrace(
         f=f,
         rounds=tuple(rounds),
         f_hat=current_f - f,
-        fixed_point=fixed_point(f),
-        n_optimal=optimal_rounds(f, epsilon),
+        fixed_point=xstar,
+        n_optimal=_rounds_within(f, xstar, epsilon),
     )
 
 

@@ -199,6 +199,13 @@ class TestEffectiveIntegration:
         end_m = integrate_effective(default_geom(delta=-50.0), C3).endpoint
         np.testing.assert_allclose(end_m, end_p.conj(), atol=1e-10)
 
+    def test_peak_collective_coupling_matches_sample_loop(self):
+        for geom in (default_geom(), default_geom(v=0.25, ell=1.3)):
+            t_a, t_b = geom.window()
+            loop = max(math.sqrt(sum(coupling(geom, k, t) ** 2 for k in (1, 2, 3)))
+                       for t in np.linspace(t_a, t_b, 2001))
+            assert peak_collective_coupling(geom) == pytest.approx(loop, rel=0, abs=1e-15)
+
     def test_tracks_full_dynamics(self):
         for delta in (20.0, 50.0):
             geom = default_geom(delta=delta)
@@ -232,6 +239,19 @@ class TestAgreement:
         d1, d2, d4 = (d for _, d in study)
         assert 0.4 < d2 / d1 < 0.6
         assert 0.4 < d4 / d2 < 0.6
+
+    def test_precomputed_trajectory_changes_nothing(self):
+        geom = default_geom()
+        assert xy_agreement(geom, full=integrate_full(geom, C4)) == xy_agreement(geom)
+
+    def test_mismatched_trajectory_rejected(self):
+        geom = default_geom()
+        other_start = integrate_full(geom, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
+        with pytest.raises(DomainError):
+            xy_agreement(geom, full=other_start)
+        short = integrate_full(geom, C4, window=(0.0, 1.0))
+        with pytest.raises(DomainError):
+            xy_agreement(geom, full=short)
 
     def test_distance_mod_phase(self):
         a = np.array([1.0, 0.0], dtype=complex)

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from xypurify import cavity
 from xypurify.cli import main
 
 
@@ -166,6 +168,36 @@ class TestValidateCavityCommand:
         lines = traj.read_text().strip().splitlines()
         assert lines[0].startswith("t,re_c0,im_c0")
         assert len(lines) > 100
+
+    def test_trajectory_dump_is_the_exact_run(self, runner, tmp_path):
+        traj = tmp_path / "traj.csv"
+        run_ok(runner, ["validate-cavity", "--delta", "-50", "--ell", "1.0",
+                        "--dump-trajectory", str(traj)])
+        geom = cavity.CavityGeometry(g0=1.0, w=1.0, ell=1.0,
+                                     d=cavity.solve_geometry(1.0, 1.0), v=0.5,
+                                     delta=-50.0)
+        direct = cavity.integrate_full(geom, np.array([0, 1, 0, 0], dtype=complex))
+        rows = [line.split(",") for line in traj.read_text().splitlines()[1:]]
+        assert len(rows) == len(direct.times)
+        for row, t, c in zip(rows, direct.times, direct.amplitudes):
+            parts = [t] + [x for ck in c for x in (ck.real, ck.imag)] + [abs(c[0]) ** 2]
+            assert row == [format(float(x), ".12g") for x in parts]
+
+    def test_one_integration_per_detuning(self, runner, tmp_path, monkeypatch):
+        calls = []
+        for name in ("integrate_full", "integrate_effective"):
+            original = getattr(cavity, name)
+
+            def counted(geom, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, geom.delta))
+                return _original(geom, *args, **kwargs)
+            monkeypatch.setattr(cavity, name, counted)
+        run_ok(runner, ["validate-cavity", "--delta", "50", "--ell", "1.0",
+                        "--dump-trajectory", str(tmp_path / "traj.csv")])
+        assert sorted(calls) == [("integrate_effective", 50.0),
+                                 ("integrate_effective", 100.0),
+                                 ("integrate_full", 50.0),
+                                 ("integrate_full", 100.0)]
 
 
 class TestMonteCarloCommand:

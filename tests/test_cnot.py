@@ -13,7 +13,15 @@ from xypurify import (
     scheme_c_pump,
     werner,
 )
-from xypurify.cnot import U_MINUS, U_PLUS
+from xypurify.cnot import (
+    U_MINUS,
+    U_PLUS,
+    _dejmps_map,
+    _scheme_c_fixed_point,
+    _scheme_c_optimal_rounds,
+)
+from xypurify.pumping import EPSILON_DEFAULT
+from xypurify.states import BELL_ORDER
 
 
 def quiet_werner(f, labels=(1, 2)):
@@ -127,3 +135,66 @@ class TestComparisonTable:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             comparison_table([1.0])
+
+
+def bell_weights(rho):
+    weights = bell_decompose(rho).weights
+    return np.array([weights[k] for k in BELL_ORDER])
+
+
+def simulated_fixed_point(f, max_iter=500):
+    # the fixed-point search as a cnot_round loop, the oracle for the map
+    stored = quiet_werner(f, labels=("1A", "1B"))
+    prev = f
+    for _ in range(max_iter):
+        res = cnot_round(stored, quiet_werner(f, labels=("2A", "2B")))
+        stored = res.post_state
+        if abs(res.fidelity - prev) < 1e-13:
+            return res.fidelity
+        prev = res.fidelity
+    raise AssertionError(f"no convergence for f={f}")
+
+
+def simulated_optimal_rounds(f, epsilon):
+    target = simulated_fixed_point(f)
+    stored = quiet_werner(f, labels=("1A", "1B"))
+    current, n = f, 0
+    while target - current >= epsilon:
+        res = cnot_round(stored, quiet_werner(f, labels=("2A", "2B")))
+        stored, current, n = res.post_state, res.fidelity, n + 1
+    return n
+
+
+class TestDejmpsMap:
+    def test_matches_cnot_round_on_bell_diagonal_sources(self):
+        rng = np.random.default_rng(23)
+        for f in rng.uniform(0.0, 1.0, 12):
+            src = random_bell_diagonal(rng, labels=("1A", "1B"))
+            res = cnot_round(src, quiet_werner(f, labels=("2A", "2B")))
+            post = _dejmps_map(f) @ bell_weights(src)
+            assert post.sum() == pytest.approx(res.success_probability, abs=1e-12)
+            np.testing.assert_allclose(post / post.sum(), bell_weights(res.post_state),
+                                       rtol=0, atol=1e-12)
+
+    def test_werner_success_probability(self):
+        for f in (0.5, 0.6, 0.75, 0.9, 1.0):
+            w = np.array([f] + 3 * [(1.0 - f) / 3.0])
+            assert (_dejmps_map(f) @ w).sum() == pytest.approx(
+                (5 - 4 * f + 8 * f * f) / 9.0, abs=1e-15)
+
+    def test_fixed_point_and_optimal_rounds_match_simulation(self):
+        for f in np.linspace(0.55, 1.0, 10):
+            xstar = _scheme_c_fixed_point(f)
+            assert xstar == pytest.approx(simulated_fixed_point(f), abs=1e-14)
+            assert (_scheme_c_optimal_rounds(f, xstar, EPSILON_DEFAULT)
+                    == simulated_optimal_rounds(f, EPSILON_DEFAULT))
+
+    def test_pump_runs_cnot_round_only_for_reported_rounds(self, monkeypatch):
+        import xypurify.cnot as cnot
+        calls = []
+        original = cnot.cnot_round
+        monkeypatch.setattr(cnot, "cnot_round",
+                            lambda *a: calls.append(1) or original(*a))
+        trace = scheme_c_pump(0.75, 2)
+        assert len(calls) == 2
+        assert trace.n_optimal == simulated_optimal_rounds(0.75, EPSILON_DEFAULT)

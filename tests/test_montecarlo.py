@@ -49,6 +49,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ProtocolConfig(f=0.5, target_rounds=1, seed=1)
 
+    @pytest.mark.parametrize("rounds", [2.5, 2.0, True, np.float64(3.0), "2", 0])
+    def test_target_rounds_must_be_a_positive_integer(self, rounds):
+        with pytest.raises(ConfigurationError, match="target_rounds"):
+            ProtocolConfig(f=0.75, target_rounds=rounds, seed=1)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ProtocolConfig(f=0.75, target_rounds=np.int64(3), seed=1)
+        assert run_protocol(cfg).rounds_succeeded == 3
+        assert simulate_batch(cfg, np.int32(4), workers=np.int64(1)).trials == 4
+
+    @pytest.mark.parametrize("kwargs", [{"trials": True}, {"trials": 2.0},
+                                        {"trials": 0}, {"trials": 3, "workers": 1.5},
+                                        {"trials": 3, "workers": True}],
+                             ids=["trials-bool", "trials-float", "trials-zero",
+                                  "workers-float", "workers-bool"])
+    def test_batch_counts_must_be_positive_integers(self, kwargs):
+        with pytest.raises(ConfigurationError, match=next(reversed(kwargs))):
+            simulate_batch(config(), **kwargs)
+
 
 class TestSingleRun:
     def test_deterministic_under_seed(self):

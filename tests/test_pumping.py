@@ -3,6 +3,8 @@ import pytest
 
 from xypurify import (
     DomainError,
+    PumpRound,
+    PumpTrace,
     RoundInput,
     closed_form_general,
     fidelity,
@@ -96,6 +98,40 @@ class TestPump:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             pump(0.75, 2, mode="magic")
+
+
+class TestPumpTraceSummary:
+    @staticmethod
+    def expected_trace(f, n, epsilon):
+        rounds, current = [], f
+        for k in range(1, n + 1):
+            step = closed_form_general(f, current)
+            rounds.append(PumpRound(n=k, fidelity=step.fidelity,
+                                    delta=step.fidelity - current,
+                                    success_probability=step.success_probability))
+            current = step.fidelity
+        return PumpTrace(f=f, rounds=tuple(rounds), f_hat=current - f,
+                         fixed_point=fixed_point(f),
+                         n_optimal=optimal_rounds(f, epsilon))
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 5e-3, 1e-6])
+    def test_trace_unchanged_on_grid(self, epsilon):
+        for f in np.linspace(0.51, 1.0, 25):
+            assert pump(f, 6, epsilon=epsilon) == self.expected_trace(f, 6, epsilon)
+
+    def test_fixed_point_searched_once(self, monkeypatch):
+        import xypurify.pumping as pumping
+        calls = []
+        original = pumping.fixed_point
+        monkeypatch.setattr(pumping, "fixed_point",
+                            lambda f: calls.append(f) or original(f))
+        for mode in ("closed_form", "simulation"):
+            pump(0.75, 3, mode=mode)
+        assert calls == [0.75, 0.75]
+
+    def test_invalid_epsilon(self):
+        with pytest.raises(DomainError):
+            pump(0.75, 2, epsilon=0.0)
 
 
 class TestThresholdBehavior:
