@@ -46,9 +46,7 @@ from .montecarlo import (
     BatchStats,
     ProtocolConfig,
     ProtocolStats,
-    ResourceRow,
     expected_attempts,
-    resource_curve,
     run_protocol,
     simulate_batch,
 )
@@ -100,9 +98,7 @@ from .xy import (
     build_xy,
     evolve_composite,
     evolve_triplet,
-    mean_coupling_hamiltonian,
     number_operator,
-    phase_correction,
 )
 
 __version__ = "0.1.0"

@@ -16,20 +16,22 @@ With these rotations the round is the DEJMPS protocol (Deutsch et al.,
 PRL 77, 2818, 1996).  A Bell-diagonal source with a Werner(f) target
 stays Bell-diagonal, and its Bell weights follow a 4x4 map in f; the
 fixed point and the optimal round count of :func:`scheme_c_pump` iterate
-that map.  :func:`cnot_round` simulates the four-qubit circuit, computes
-the rounds :func:`scheme_c_pump` reports, and stays the oracle the map
-is tested against.
+that map through the shared Bell-weight iterator of
+:mod:`xypurify.pumping`.  :func:`cnot_round` simulates the four-qubit
+circuit, computes the rounds :func:`scheme_c_pump` reports, and stays
+the oracle the map is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError, DomainError, ZeroProbabilityError
-from .pumping import EPSILON_DEFAULT, PumpRound, PumpTrace
+from .pumping import (EPSILON_DEFAULT, PumpRound, PumpTrace, _bell_rounds,
+                      _rounds_within)
 from .rounds import closed_form_general
 from .states import DensityMatrix, fidelity, outcome_block, tensor, werner
 
@@ -41,6 +43,8 @@ U_MINUS = (_I2 - 1j * _X) / np.sqrt(2.0)
 # qubit order inside the round: (1A, 1B, 2A, 2B)
 _SOURCE = ("1A", "1B")
 _TARGET = ("2A", "2B")
+
+_FIXED_POINT_ROUNDS = 500   # map rounds the fixed-point search may take
 
 
 def _kron(*ops: np.ndarray) -> np.ndarray:
@@ -133,7 +137,8 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
         rounds=tuple(rounds),
         f_hat=current - f,
         fixed_point=xstar,
-        n_optimal=_scheme_c_optimal_rounds(f, xstar, EPSILON_DEFAULT),
+        n_optimal=_rounds_within(_bell_rounds(_dejmps_map(f), f), f, xstar,
+                                 EPSILON_DEFAULT),
     )
 
 
@@ -151,36 +156,13 @@ def _dejmps_map(f: float) -> np.ndarray:
                      [0.0, b, b, 0.0]])
 
 
-def _scheme_c_fidelities(f: float) -> Iterator[float]:
-    """Stored-pair fidelities F_1, F_2, ... of the baseline pump."""
-    transfer = _dejmps_map(f)
-    weights = np.array([f] + 3 * [(1.0 - f) / 3.0])   # Werner, in BELL_ORDER
-    while True:
-        post = transfer @ weights
-        weights = post / post.sum()
-        yield float(weights[0])
-
-
-def _scheme_c_fixed_point(f: float, max_iter: int = 500) -> float:
+def _scheme_c_fixed_point(f: float) -> float:
     prev = f
-    for fid in islice(_scheme_c_fidelities(f), max_iter):
+    for fid, _ in islice(_bell_rounds(_dejmps_map(f), f), _FIXED_POINT_ROUNDS):
         if abs(fid - prev) < 1e-13:
             return fid
         prev = fid
     raise AnalysisError(f"baseline pump did not converge for f={f}")
-
-
-def _scheme_c_optimal_rounds(f: float, target: float, epsilon: float) -> int:
-    """Smallest n with target - F_n < epsilon (F_0 = f)."""
-    current = f
-    fidelities = _scheme_c_fidelities(f)
-    n = 0
-    while target - current >= epsilon:
-        current = next(fidelities)
-        n += 1
-        if n > 10_000:  # pragma: no cover
-            raise AnalysisError(f"baseline pump failed to saturate for f={f}")
-    return n
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ restored by completing the evolution period, costing extra dwell
 time).  Inconclusive non-destructive readouts are folded into the
 failure branch by thinning the success probability.
 
+Each attempt evaluates the scalar pump map
+:func:`xypurify.rounds.closed_form_general` at the current stored
+fidelity.  The analytic mean :func:`expected_attempts` walks the same
+map through the shared iterator of :mod:`xypurify.pumping`.
+
 Reproducibility: every trial draws from its own generator seeded by
 (seed, trial index), so results are independent of scheduling and
 worker count.
@@ -17,13 +22,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .pumping import fixed_point
-from .rounds import bell_diagonal_map, closed_form_general
+from .errors import ConfigurationError
+from .pumping import _werner_rounds, fixed_point
+from .rounds import closed_form_general
 
 GATE_TIME_DEFAULT = math.pi / 6.0          # units of 1/J, one gate at n = 0
 RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
@@ -105,19 +110,10 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
 
 
-def run_protocol(config: ProtocolConfig, trial: int = 0,
-                 audit: bool = False) -> ProtocolStats:
-    """Execute one protocol run.
-
-    ``audit=True`` replaces the scalar pump map by the exact Bell-weight
-    round map :func:`xypurify.rounds.bell_diagonal_map` (used to
-    cross-check the fast path on small batches).
-    """
+def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
+    """Execute one protocol run."""
     rng = _trial_rng(config.seed, trial)
     f_current = config.f
-    if audit:
-        transfer = bell_diagonal_map(config.f)
-        weights = [config.f] + 3 * [(1.0 - config.f) / 3.0]   # Werner, in BELL_ORDER
 
     history = [f_current]
     attempts_per_round: list[int] = []
@@ -131,21 +127,13 @@ def run_protocol(config: ProtocolConfig, trial: int = 0,
         return f_current >= config.target_fidelity
 
     while not done():
-        if audit:
-            post = transfer @ weights
-            p_succ = float(post.sum())
-        else:
-            p_succ = closed_form_general(config.f, f_current).success_probability
+        p_succ = closed_form_general(config.f, f_current).success_probability
         attempts += 1
         attempts_this_round += 1
         elapsed += config.gate_time
         elapsed += MESSAGES_PER_ATTEMPT * config.message_latency
         if rng.random() < p_succ * (1.0 - config.p_inconclusive):
-            if audit:
-                weights = post / p_succ
-                f_current = float(weights[0])
-            else:
-                f_current = closed_form_general(config.f, f_current).fidelity
+            f_current = closed_form_general(config.f, f_current).fidelity
             successes += 1
             history.append(f_current)
             attempts_per_round.append(attempts_this_round)
@@ -239,50 +227,8 @@ def simulate_batch(config: ProtocolConfig, trials: int,
 def expected_attempts(f: float, target_rounds: int,
                       p_inconclusive: float = 0.0) -> float:
     """Analytic mean attempt count: sum of geometric means per round."""
-    if target_rounds < 1:
-        raise DomainError("target_rounds must be >= 1")
+    _check_count("target_rounds", target_rounds)
     total = 0.0
-    current = f
-    for _ in range(target_rounds):
-        step = closed_form_general(f, current)
-        total += 1.0 / (step.success_probability * (1.0 - p_inconclusive))
-        current = step.fidelity
+    for _, p_succ in islice(_werner_rounds(f), target_rounds):
+        total += 1.0 / (p_succ * (1.0 - p_inconclusive))
     return total
-
-
-@dataclass(frozen=True)
-class ResourceRow:
-    """Expected cost of pumping fresh-f pairs up to a target fidelity."""
-
-    f: float
-    expected_pairs: float
-    pairs_halfwidth: float
-    expected_time: float
-    time_halfwidth: float
-    achieved_fidelity: float
-
-
-def resource_curve(f_grid: Iterable[float], target_fidelity: float,
-                   trials: int = 2000, seed: int = 0,
-                   p_inconclusive: float = 0.0,
-                   workers: int = 1) -> list[ResourceRow]:
-    """Monte Carlo resource cost across a fresh-pair fidelity grid."""
-    rows = []
-    for f in f_grid:
-        if target_fidelity <= f:
-            rows.append(ResourceRow(f=f, expected_pairs=0.0, pairs_halfwidth=0.0,
-                                    expected_time=0.0, time_halfwidth=0.0,
-                                    achieved_fidelity=f))
-            continue
-        config = ProtocolConfig(f=f, target_fidelity=target_fidelity,
-                                p_inconclusive=p_inconclusive, seed=seed)
-        batch = simulate_batch(config, trials, workers=workers)
-        rows.append(ResourceRow(
-            f=f,
-            expected_pairs=batch.mean_attempts,
-            pairs_halfwidth=batch.attempts_halfwidth,
-            expected_time=batch.mean_time,
-            time_halfwidth=batch.time_halfwidth,
-            achieved_fidelity=batch.mean_final_fidelity,
-        ))
-    return rows

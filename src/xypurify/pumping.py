@@ -15,11 +15,20 @@ The two maps agree exactly on Werner stored pairs.  The exact post-round
 state is Werner only when f' = f, so they agree for two rounds; from
 round 3 on they differ only because the scalar recurrence twirls the
 stored pair back to Werner form before each round.
+
+One iterator serves each kind of round map: ``_werner_rounds`` runs the
+scalar recurrence and ``_bell_rounds`` any 4x4 Bell-weight map (the
+exact XY map above or the DEJMPS map of :mod:`xypurify.cnot`);
+``_rounds_within`` is the one optimal-round search over either.
+:mod:`xypurify.cnot` and :mod:`xypurify.montecarlo` iterate through them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Literal, Sequence
+
+import numpy as np
 
 from .errors import AnalysisError, DomainError
 from .rounds import bell_diagonal_map, closed_form_general
@@ -83,53 +92,63 @@ def fixed_point(f: float) -> float:
 
 def optimal_rounds(f: float, epsilon: float = EPSILON_DEFAULT) -> int:
     """Smallest n with fixed_point(f) - F_n < epsilon."""
-    return _rounds_within(f, fixed_point(f), epsilon)
+    return _rounds_within(_werner_rounds(f), f, fixed_point(f), epsilon)
 
 
-def _rounds_within(f: float, target: float, epsilon: float) -> int:
-    """Smallest n with target - F_n < epsilon on the scalar recurrence."""
+def _werner_rounds(f: float) -> Iterator[tuple[float, float]]:
+    """(F_k, P_k) for k = 1, 2, ... on the scalar recurrence from F_0 = f."""
+    current = f
+    while True:
+        step = closed_form_general(f, current)
+        current = step.fidelity
+        yield current, step.success_probability
+
+
+def _bell_rounds(transfer: np.ndarray, f: float) -> Iterator[tuple[float, float]]:
+    """(F_k, P_k) for k = 1, 2, ... through a 4x4 Bell-weight map.
+
+    The stored pair starts as Werner(f).  ``transfer`` maps its Bell
+    weights (``BELL_ORDER``) to unnormalised post-round weights, whose
+    sum is the success probability P_k.
+    """
+    weights = np.array([f] + 3 * [(1.0 - f) / 3.0])   # Werner, in BELL_ORDER
+    while True:
+        post = transfer @ weights
+        p = float(post.sum())
+        weights = post / p
+        yield float(weights[0]), p
+
+
+def _rounds_within(trajectory: Iterator[tuple[float, float]], f: float,
+                   target: float, epsilon: float) -> int:
+    """Smallest n with target - F_n < epsilon along a trajectory from F_0 = f."""
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    current = f
-    n = 0
-    while target - current >= epsilon:
-        current = closed_form_general(f, current).fidelity
-        n += 1
-        if n > 10_000:
-            raise AnalysisError(f"pump map failed to approach fixed point for f={f}")
-    return n
+    if target - f < epsilon:
+        return 0
+    for n, (fid, _) in enumerate(islice(trajectory, 10_000), start=1):
+        if target - fid < epsilon:
+            return n
+    raise AnalysisError(f"pump map failed to approach its fixed point for f={f}")
 
 
-def pump(f: float, n: int, mode: PumpMode = "closed_form", j: float = 1.0,
+def pump(f: float, n: int, mode: PumpMode = "closed_form",
          epsilon: float = EPSILON_DEFAULT) -> PumpTrace:
-    """Run n successful pumping rounds with fresh fidelity-f pairs.
-
-    ``j`` must be nonzero; the rounds at the operational time do not
-    depend on it.
-    """
+    """Run n successful pumping rounds with fresh fidelity-f pairs."""
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs fresh-pair fidelity in (0.5, 1], got {f}")
     if n < 1:
         raise DomainError(f"need at least one round, got n={n}")
-    if mode not in ("closed_form", "simulation"):
+    if mode == "closed_form":
+        trajectory = _werner_rounds(f)
+    elif mode == "simulation":
+        trajectory = _bell_rounds(bell_diagonal_map(f), f)
+    else:
         raise DomainError(f"unknown pump mode {mode!r}")
-    if j == 0:
-        raise DomainError("coupling J must be nonzero")
 
     rounds: list[PumpRound] = []
     current_f = f
-    if mode == "simulation":
-        transfer = bell_diagonal_map(f)
-        weights = [f] + 3 * [(1.0 - f) / 3.0]   # Werner, in BELL_ORDER
-    for k in range(1, n + 1):
-        if mode == "closed_form":
-            step = closed_form_general(f, current_f)
-            new_f, p = step.fidelity, step.success_probability
-        else:
-            post = transfer @ weights
-            p = float(post.sum())
-            weights = post / p
-            new_f = float(weights[0])
+    for k, (new_f, p) in enumerate(islice(trajectory, n), start=1):
         rounds.append(PumpRound(n=k, fidelity=new_f, delta=new_f - current_f,
                                 success_probability=p))
         current_f = new_f
@@ -139,7 +158,7 @@ def pump(f: float, n: int, mode: PumpMode = "closed_form", j: float = 1.0,
         rounds=tuple(rounds),
         f_hat=current_f - f,
         fixed_point=xstar,
-        n_optimal=_rounds_within(f, xstar, epsilon),
+        n_optimal=_rounds_within(_werner_rounds(f), f, xstar, epsilon),
     )
 
 
@@ -170,15 +189,14 @@ def saturation_table(f_grid: Iterable[float], n_max: int) -> list[SaturationRow]
     for f in grid:
         xstar = fixed_point(f)
         current = f
-        for k in range(1, n_max + 1):
-            step = closed_form_general(f, current)
+        for k, (fid, p) in enumerate(islice(_werner_rounds(f), n_max), start=1):
             rows.append(SaturationRow(
                 f=f, n=k,
-                fidelity=step.fidelity,
-                f_hat=step.fidelity - f,
-                f_bar=step.fidelity - current,
-                success_probability=step.success_probability,
+                fidelity=fid,
+                f_hat=fid - f,
+                f_bar=fid - current,
+                success_probability=p,
                 fixed_point=xstar,
             ))
-            current = step.fidelity
+            current = fid
     return rows

@@ -71,23 +71,6 @@ def build_xy(j: float) -> XYHamiltonian:
     return XYHamiltonian(j, j * _XY_UNIT)
 
 
-def mean_coupling_hamiltonian(j: float) -> np.ndarray:
-    """Ring Hamiltonian plus the uniform level-shift term J * N.
-
-    Diagnostic only: it differs from build_xy by a term that commutes
-    with the ring exchange, so the two evolutions agree up to the
-    number-dependent phase of :func:`phase_correction`.
-    """
-    return j * _XY_UNIT + j * number_operator()
-
-
-def phase_correction(j: float, t: float, n: int = 3) -> np.ndarray:
-    """exp(-i J t N): relates mean-coupling and pure-exchange evolutions."""
-    num = number_operator(n)
-    w, v = np.linalg.eigh(num)
-    return (v * np.exp(-1j * j * t * w)) @ v.conj().T
-
-
 @dataclass(frozen=True)
 class EvolutionOperator:
     """Unitary propagator for a fixed evolution time."""

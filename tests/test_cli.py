@@ -210,13 +210,19 @@ class TestMonteCarloCommand:
         return path
 
     def test_byte_identical_given_seed(self, runner, tmp_path):
+        # the JSON and the per-trial CSV do not depend on --workers
         path = self.make_config(tmp_path)
-        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-        run_ok(runner, ["montecarlo", "--config", str(path), "--output",
-                        str(out_a)])
-        run_ok(runner, ["montecarlo", "--config", str(path), "--output",
-                        str(out_b)])
-        assert out_a.read_bytes() == out_b.read_bytes()
+
+        def run(workers):
+            out, csv_path = tmp_path / "stats.json", tmp_path / "trials.csv"
+            run_ok(runner, ["montecarlo", "--config", str(path), "--workers",
+                            str(workers), "--output", str(out),
+                            "--trials-csv", str(csv_path)])
+            return out.read_bytes(), csv_path.read_bytes()
+
+        reference = run(1)
+        for workers in (1, 2, 3):
+            assert run(workers) == reference, f"--workers {workers}"
 
     def test_stats_contents(self, runner, tmp_path):
         path = self.make_config(tmp_path)

@@ -13,13 +13,7 @@ from xypurify import (
     scheme_c_pump,
     werner,
 )
-from xypurify.cnot import (
-    U_MINUS,
-    U_PLUS,
-    _dejmps_map,
-    _scheme_c_fixed_point,
-    _scheme_c_optimal_rounds,
-)
+from xypurify.cnot import U_MINUS, U_PLUS, _dejmps_map
 from xypurify.pumping import EPSILON_DEFAULT
 from xypurify.states import BELL_ORDER
 
@@ -184,10 +178,9 @@ class TestDejmpsMap:
 
     def test_fixed_point_and_optimal_rounds_match_simulation(self):
         for f in np.linspace(0.55, 1.0, 10):
-            xstar = _scheme_c_fixed_point(f)
-            assert xstar == pytest.approx(simulated_fixed_point(f), abs=1e-14)
-            assert (_scheme_c_optimal_rounds(f, xstar, EPSILON_DEFAULT)
-                    == simulated_optimal_rounds(f, EPSILON_DEFAULT))
+            trace = scheme_c_pump(f, 1)
+            assert trace.fixed_point == pytest.approx(simulated_fixed_point(f), abs=1e-14)
+            assert trace.n_optimal == simulated_optimal_rounds(f, EPSILON_DEFAULT)
 
     def test_pump_runs_cnot_round_only_for_reported_rounds(self, monkeypatch):
         import xypurify.cnot as cnot

@@ -81,7 +81,8 @@ class TestPump:
     @pytest.mark.parametrize("j", [1.0, -0.7, 2.5])
     @pytest.mark.parametrize("f", [0.6, 0.75, 0.9])
     def test_simulation_mode_matches_six_qubit_loop(self, f, j):
-        sim = pump(f, 10, mode="simulation", j=j)
+        # the rounds at the operational time do not depend on J
+        sim = pump(f, 10, mode="simulation")
         state = werner(f, labels=(3, 6))
         t = operational_time(j).t
         for r in sim.rounds:
@@ -90,10 +91,6 @@ class TestPump:
             assert r.fidelity == pytest.approx(fidelity(state), abs=1e-12)
             assert r.success_probability == pytest.approx(
                 result.success_probability, abs=1e-12)
-
-    def test_zero_coupling_rejected(self):
-        with pytest.raises(DomainError):
-            pump(0.75, 2, mode="simulation", j=0.0)
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):

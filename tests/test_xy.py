@@ -6,9 +6,7 @@ from xypurify import (
     build_xy,
     evolve_composite,
     evolve_triplet,
-    mean_coupling_hamiltonian,
     number_operator,
-    phase_correction,
     random_bell_diagonal,
     permute,
     tensor,
@@ -136,20 +134,3 @@ class TestEvolution:
                 if na != nb:
                     assert np.abs(u[np.ix_(ia, ib)]).max() < 1e-12
 
-
-class TestMeanCouplingFrame:
-    def test_phase_equivalence(self):
-        # evolution with the uniform level shift equals the pure-exchange
-        # evolution times the number-dependent phase
-        j, t = 0.8, 1.77
-        hm = mean_coupling_hamiltonian(j)
-        w, v = np.linalg.eigh(hm)
-        um = (v * np.exp(-1j * w * t)) @ v.conj().T
-        ui = evolve_triplet(build_xy(j), t).matrix
-        lt = phase_correction(j, t)
-        np.testing.assert_allclose(um, lt @ ui, atol=1e-11)
-
-    def test_number_term_commutes(self):
-        h = build_xy(1.0).matrix
-        n = number_operator()
-        assert np.abs(h @ n - n @ h).max() < 1e-13
