@@ -1,20 +1,8 @@
 """Entanglement purification and pumping via three-spin ring-exchange
 dynamics, with the cavity-mediated microscopic model as validation layer.
 """
-from .cavity import (
-    AgreementReport,
-    AmplitudeState,
-    AsymptoticCouplings,
-    CavityGeometry,
-    Trajectory,
-    asymptotic_hamiltonian,
-    convergence_study,
-    coupling,
-    integrate_effective,
-    integrate_full,
-    solve_geometry,
-    xy_agreement,
-)
+import importlib
+
 from .cnot import (
     CnotRoundResult,
     ComparisonRow,
@@ -102,3 +90,24 @@ from .xy import (
 )
 
 __version__ = "0.1.0"
+
+# the cavity model is the only user of scipy; load it on first use
+_CAVITY_NAMES = frozenset({
+    "AgreementReport", "AmplitudeState", "AsymptoticCouplings",
+    "CavityGeometry", "Trajectory", "asymptotic_hamiltonian",
+    "convergence_study", "coupling", "integrate_effective", "integrate_full",
+    "solve_geometry", "xy_agreement",
+})
+
+
+def __getattr__(name: str):
+    # import_module, not ``from . import cavity``: the latter asks this
+    # function for "cavity" first
+    if name == "cavity" or name in _CAVITY_NAMES:
+        cavity = importlib.import_module(".cavity", __name__)
+        return cavity if name == "cavity" else getattr(cavity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _CAVITY_NAMES | {"cavity"})

@@ -252,11 +252,13 @@ def integrate_effective(geom: CavityGeometry, initial: np.ndarray,
     c_init = _check_initial(np.asarray(initial, dtype=complex), 3)
     t_a, t_b = window if window is not None else geom.window()
 
+    inv_delta = 1.0 / geom.delta  # numpy's complex / real divides this way
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        c = y[:3] + 1j * y[3:]
+        # y = (Re c, Im c); c' = -i g (g.c) / delta with real g
         g = _coupling_vector(geom, t)
-        dc = -1j * g * (g @ c) / geom.delta
-        return np.concatenate([dc.real, dc.imag])
+        s_re, s_im = np.dot(g, y[:3]), np.dot(g, y[3:])
+        return np.concatenate([g * s_im * inv_delta, -g * s_re * inv_delta])
 
     y0 = np.concatenate([c_init.real, c_init.imag])
     sol = solve_ivp(rhs, (t_a, t_b), y0, method="DOP853",

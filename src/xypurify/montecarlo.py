@@ -20,7 +20,6 @@ worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -187,6 +186,7 @@ def simulate_batch(config: ProtocolConfig, trials: int,
     if workers == 1:
         stats = [run_protocol(config, trial) for trial in range(trials)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         chunks = [(config, int(a), int(b))
                   for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
@@ -227,7 +227,7 @@ def simulate_batch(config: ProtocolConfig, trials: int,
 def expected_attempts(f: float, target_rounds: int,
                       p_inconclusive: float = 0.0) -> float:
     """Analytic mean attempt count: sum of geometric means per round."""
-    _check_count("target_rounds", target_rounds)
+    ProtocolConfig(f=f, target_rounds=target_rounds, p_inconclusive=p_inconclusive)
     total = 0.0
     for _, p_succ in islice(_werner_rounds(f), target_rounds):
         total += 1.0 / (p_succ * (1.0 - p_inconclusive))

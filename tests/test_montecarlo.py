@@ -43,10 +43,16 @@ class TestConfigValidation:
             config(p_inconclusive=1.0)
         with pytest.raises(ConfigurationError):
             config(p_inconclusive=-0.1)
+        for p in (1.0, -0.5):
+            with pytest.raises(ConfigurationError, match="p_inconclusive"):
+                expected_attempts(0.75, 3, p)
 
     def test_threshold_fidelity_rejected(self):
         with pytest.raises(ConfigurationError):
             ProtocolConfig(f=0.5, target_rounds=1, seed=1)
+        for f in (0.4, 0.5, 1.2):
+            with pytest.raises(ConfigurationError, match="fidelity"):
+                expected_attempts(f, 3)
 
     @pytest.mark.parametrize("rounds", [2.5, 2.0, True, np.float64(3.0), "2", 0])
     def test_target_rounds_must_be_a_positive_integer(self, rounds):
