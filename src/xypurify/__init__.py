@@ -67,13 +67,10 @@ from .states import (
     BellDecomposition,
     BellProjector,
     DensityMatrix,
-    Tolerance,
     bell_decompose,
     bell_projector,
     computational_pair,
-    conditional_state,
     fidelity,
-    measurement_distribution,
     partial_trace,
     permute,
     random_bell_diagonal,

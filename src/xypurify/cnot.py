@@ -33,16 +33,15 @@ from .errors import AnalysisError, DomainError, ZeroProbabilityError
 from .pumping import (EPSILON_DEFAULT, PumpRound, PumpTrace, _bell_rounds,
                       _rounds_within)
 from .rounds import closed_form_general
-from .states import DensityMatrix, fidelity, outcome_block, tensor, werner
+from .states import DensityMatrix, fidelity, werner
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 U_PLUS = (_I2 + 1j * _X) / np.sqrt(2.0)
 U_MINUS = (_I2 - 1j * _X) / np.sqrt(2.0)
 
-# qubit order inside the round: (1A, 1B, 2A, 2B)
+# qubit order inside the round: (1A, 1B, 2A, 2B); the source is kept
 _SOURCE = ("1A", "1B")
-_TARGET = ("2A", "2B")
 
 _FIXED_POINT_ROUNDS = 500   # map rounds the fixed-point search may take
 
@@ -80,18 +79,18 @@ def cnot_round(source: DensityMatrix, target: DensityMatrix) -> CnotRoundResult:
     """One baseline purification round; keeps the source pair.
 
     Success means equal outcomes on the measured target pair; the
-    post-selected state mixes both accepted branches.
+    post-selected state mixes both accepted branches.  Only the returned
+    pair is a validated :class:`DensityMatrix`.
     """
     if source.dim != 4 or target.dim != 4:
         raise DomainError("source and target must be two-qubit states")
-    rho = tensor(source.relabel(_SOURCE), target.relabel(_TARGET))
-    out = _GATE @ rho.matrix @ _GATE.conj().T
-    rho = DensityMatrix(out, rho.labels, rho.tol)
+    rho = _GATE @ np.kron(source.matrix, target.matrix) @ _GATE.conj().T
+    t = rho.reshape((2,) * 8)
     post = np.zeros((4, 4), dtype=complex)
     p_succ = 0.0
-    for bits in ("00", "11"):
-        prob, block = outcome_block(rho, _TARGET, bits)
-        p_succ += prob
+    for b in (0, 1):
+        block = t[:, :, b, b, :, :, b, b].reshape(4, 4)
+        p_succ += float(np.real(block.trace()))
         post += block
     if p_succ < 1e-14:
         raise ZeroProbabilityError("both accepted outcomes have zero probability")
@@ -125,7 +124,7 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
     rounds: list[PumpRound] = []
     current = f
     for k in range(1, n + 1):
-        res = cnot_round(stored, werner(f, labels=_TARGET))
+        res = cnot_round(stored, werner(f))
         stored = res.post_state
         rounds.append(PumpRound(n=k, fidelity=res.fidelity,
                                 delta=res.fidelity - current,

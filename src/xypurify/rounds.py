@@ -28,17 +28,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, NegativeDurationError, ShapeError, SingularExpressionError
+from .errors import (DomainError, NegativeDurationError, ShapeError,
+                     SingularExpressionError, ZeroProbabilityError)
 from .states import (
     DensityMatrix,
+    _werner_matrix,
     bell_decompose,
     computational_pair,
-    conditional_state,
     fidelity,
-    measurement_distribution,
-    permute,
-    tensor,
-    werner,
 )
 from .xy import build_xy, evolve_composite
 
@@ -99,42 +96,43 @@ class RoundResult:
         return fidelity(self.post_state)
 
 
-def _composite_input(f: float, stationary: DensityMatrix) -> DensityMatrix:
-    """rho_f(1,4) x rho_f(2,5) x rho_stat(3,6), reordered to slots 1..6."""
-    import warnings
-
-    with warnings.catch_warnings():
-        # pumping legitimately probes f <= 0.5; the threshold warning is
-        # the caller's concern, not this plumbing's
-        warnings.simplefilter("ignore")
-        p14 = werner(f, labels=(1, 4))
-        p25 = werner(f, labels=(2, 5))
-    stat = stationary.relabel((3, 6))
-    rho = tensor(tensor(p14, p25), stat)
-    return permute(rho, (1, 2, 3, 4, 5, 6))
-
-
 def run_round(inp: RoundInput,
               predefined_outcome: str = PREDEFINED_OUTCOME) -> RoundResult:
     """Execute one purification round by direct six-qubit simulation.
 
     ``predefined_outcome`` is configurable for diagnostics only; the
-    protocol fixes it to 0101 on slots (1, 2, 4, 5).
+    protocol fixes it to 0101 on slots (1, 2, 4, 5).  Only the returned
+    stationary pair is a validated :class:`DensityMatrix`; the six-qubit
+    state is a plain array.
     """
-    rho6 = _composite_input(inp.f, inp.stationary_state)
-    u = evolve_composite(build_xy(inp.j), inp.t0)
-    evolved = DensityMatrix(u.matrix @ rho6.matrix @ u.matrix.conj().T,
-                            rho6.labels, rho6.tol)
-    outcome_probs = measurement_distribution(evolved, MEASURED_SLOTS)
-    prob, post = conditional_state(evolved, MEASURED_SLOTS, predefined_outcome,
-                                   min_probability=ZERO_PROBABILITY_THRESHOLD)
-    deviation = bell_decompose(post).off_diagonal_norm
+    bits = predefined_outcome
+    if len(bits) != len(MEASURED_SLOTS) or any(b not in "01" for b in bits):
+        raise DomainError(f"outcome {bits!r} does not match slots {MEASURED_SLOTS}")
+    # rho_f(1,4) x rho_f(2,5) x rho_stat(3,6), each (row, row, col, col),
+    # into rows 1..6 then columns 1..6
+    pair = _werner_matrix(inp.f).reshape(2, 2, 2, 2)
+    stat = inp.stationary_state.matrix.reshape(2, 2, 2, 2)
+    rho6 = np.einsum("adAD,beBE,cfCF->abcdefABCDEF", pair, pair, stat)
+    u = evolve_composite(build_xy(inp.j), inp.t0).matrix
+    evolved = u @ rho6.reshape(64, 64) @ u.conj().T
+    # diagonal as (1,2,4,5 | 3,6): row k sums the block of outcome k
+    diag = np.diagonal(evolved).reshape(2, 2, 2, 2, 2, 2)
+    probs = diag.transpose(0, 1, 3, 4, 2, 5).reshape(16, 4).sum(axis=1).real
+    outcome_probs = {format(k, "04b"): float(p) for k, p in enumerate(probs)}
+    prob = outcome_probs[bits]
+    if prob < ZERO_PROBABILITY_THRESHOLD:
+        raise ZeroProbabilityError(
+            f"outcome {bits!r} on slots {MEASURED_SLOTS} has probability {prob:.3e}")
+    b1, b2, b4, b5 = (int(b) for b in bits)
+    block = evolved.reshape((2,) * 12)[b1, b2, :, b4, b5, :,
+                                       b1, b2, :, b4, b5, :].reshape(4, 4)
+    post = DensityMatrix(block / prob, (3, 6))
     return RoundResult(
         post_state=post,
         success_probability=prob,
         accepted_outcomes=ACCEPTED_OUTCOMES,
         outcome_probabilities=outcome_probs,
-        werner_deviation=deviation,
+        werner_deviation=bell_decompose(post).off_diagonal_norm,
     )
 
 
@@ -246,7 +244,7 @@ def restore(state: DensityMatrix, elapsed: float, j: float,
     remaining = m * period - elapsed
     u = evolve_composite(build_xy(j), remaining)
     return DensityMatrix(u.matrix @ state.matrix @ u.matrix.conj().T,
-                         state.labels, state.tol)
+                         state.labels)
 
 
 def bootstrap_round(f: float, t0: float, j: float = 1.0) -> RoundResult:

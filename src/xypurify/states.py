@@ -2,13 +2,21 @@
 
 Everything here is a small, labeled, immutable wrapper around numpy
 complex matrices: Bell/Werner constructors, tensor products, partial
-trace, slot permutation, computational-basis projections, and the
-Bell-basis decomposition used throughout the purification analysis.
+trace, slot permutation, and the Bell-basis decomposition used
+throughout the purification analysis.
 
 Qubit slots carry explicit labels (integers in the protocol code:
-1, 2, 3 for one node's triplet, 4, 5, 6 for the other) so that all
-pairings and measurements are done by label lookup instead of
-positional arithmetic.
+1, 2, 3 for one node's triplet, 4, 5, 6 for the other) so that pairings
+are done by label lookup instead of positional arithmetic.
+
+:class:`DensityMatrix` is the one validation boundary.  Every state a
+caller builds and every state a public function returns is checked for
+Hermiticity, unit trace and positivity, against the constant tolerances
+below.  Intermediates inside a computation (the six-qubit product and
+its evolution in :func:`xypurify.rounds.run_round`, the four-qubit state
+of :func:`xypurify.cnot.cnot_round`) are plain arrays and are not
+validated: they are Kronecker products of validated states under
+unitaries that :class:`xypurify.xy.EvolutionOperator` checks.
 """
 from __future__ import annotations
 
@@ -24,28 +32,15 @@ from .errors import (
     LabelError,
     ShapeError,
     StateValidationError,
-    ZeroProbabilityError,
 )
 
 Label = Hashable
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric tolerances used by state validation and equality checks."""
-
-    hermiticity: float = 1e-12
-    trace: float = 1e-12
-    psd: float = 1e-10
-    equality: float = 1e-9
-
-    def __post_init__(self) -> None:
-        for name in ("hermiticity", "trace", "psd", "equality"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"tolerance {name!r} must be strictly positive")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# DensityMatrix validation tolerances: max |rho - rho^H|, |Tr rho - 1|
+# and the most negative eigenvalue allowed
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+PSD_TOL = 1e-10
 
 # Computational basis kets and the standard Bell basis.
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -106,13 +101,10 @@ class DensityMatrix:
         Square complex matrix of dimension 2**n.
     labels : tuple
         One hashable label per qubit slot, in tensor order.
-    tol : Tolerance
-        Validation tolerances (hermiticity, trace, positivity).
     """
 
     matrix: np.ndarray = field(repr=False)
     labels: tuple
-    tol: Tolerance = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
@@ -129,13 +121,13 @@ class DensityMatrix:
         if len(set(labels)) != len(labels):
             raise LabelError(f"duplicate qubit labels in {labels}")
         herm = np.abs(mat - mat.conj().T).max()
-        if herm > self.tol.hermiticity:
+        if herm > HERMITICITY_TOL:
             raise StateValidationError(f"not Hermitian: max deviation {herm:.3e}")
         tr = mat.trace()
-        if abs(tr - 1.0) > self.tol.trace:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise StateValidationError(f"trace {tr:.15g} differs from 1")
         lo = np.linalg.eigvalsh(mat).min()
-        if lo < -self.tol.psd:
+        if lo < -PSD_TOL:
             raise StateValidationError(f"negative eigenvalue {lo:.3e}")
         mat.setflags(write=False)
 
@@ -153,13 +145,8 @@ class DensityMatrix:
         except ValueError:
             raise LabelError(f"label {label!r} not in {self.labels}") from None
 
-    def relabel(self, new_labels: Sequence[Label]) -> "DensityMatrix":
-        """Rename slots in place (no reordering of the tensor factors)."""
-        return DensityMatrix(self.matrix, tuple(new_labels), self.tol)
 
-
-def werner(f: float, labels: Sequence[Label] = (1, 2),
-           tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+def werner(f: float, labels: Sequence[Label] = (1, 2)) -> DensityMatrix:
     """Two-qubit Werner state with weight ``f`` on phi+.
 
     Emits :class:`BelowThresholdWarning` for f <= 0.5, where no
@@ -173,31 +160,32 @@ def werner(f: float, labels: Sequence[Label] = (1, 2),
             BelowThresholdWarning,
             stacklevel=2,
         )
+    return DensityMatrix(_werner_matrix(f), tuple(labels))
+
+
+def _werner_matrix(f: float) -> np.ndarray:
+    """Werner matrix with weight ``f`` on phi+; no checks, no warning."""
     rest = (1.0 - f) / 3.0
-    mat = f * BELL_PROJECTORS["phi_plus"] + rest * (
+    return f * BELL_PROJECTORS["phi_plus"] + rest * (
         BELL_PROJECTORS["phi_minus"]
         + BELL_PROJECTORS["psi_plus"]
         + BELL_PROJECTORS["psi_minus"]
     )
-    return DensityMatrix(mat, tuple(labels), tol)
 
 
-def computational_pair(bits: str, labels: Sequence[Label] = (1, 2),
-                       tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+def computational_pair(bits: str, labels: Sequence[Label] = (1, 2)) -> DensityMatrix:
     """Pure two-qubit computational-basis product state, e.g. '00'."""
     if len(bits) != 2 or any(b not in "01" for b in bits):
         raise DomainError(f"bits must be a 2-character 0/1 string, got {bits!r}")
     vec = np.kron(KET1 if bits[0] == "1" else KET0,
                   KET1 if bits[1] == "1" else KET0)
-    return DensityMatrix(np.outer(vec, vec.conj()), tuple(labels), tol)
+    return DensityMatrix(np.outer(vec, vec.conj()), tuple(labels))
 
 
-def fidelity(rho: DensityMatrix, pair: tuple[Label, Label] | None = None) -> float:
+def fidelity(rho: DensityMatrix) -> float:
     """Overlap Tr[phi+ rho] of a two-qubit state with the target Bell state."""
     if rho.dim != 4:
         raise ShapeError(f"fidelity is defined for two-qubit states, got dim {rho.dim}")
-    if pair is not None and set(pair) != set(rho.labels):
-        raise LabelError(f"pair {pair} does not match state labels {rho.labels}")
     return float(np.real(np.trace(BELL_PROJECTORS["phi_plus"] @ rho.matrix)))
 
 
@@ -206,7 +194,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise LabelError(f"label collision on {sorted(map(str, overlap))}")
-    return DensityMatrix(np.kron(a.matrix, b.matrix), a.labels + b.labels, a.tol)
+    return DensityMatrix(np.kron(a.matrix, b.matrix), a.labels + b.labels)
 
 
 def permute(rho: DensityMatrix, new_order: Sequence[Label]) -> DensityMatrix:
@@ -218,7 +206,7 @@ def permute(rho: DensityMatrix, new_order: Sequence[Label]) -> DensityMatrix:
     src = [rho.slot(lab) for lab in new_order]
     t = rho.matrix.reshape([2] * (2 * n))
     t = np.transpose(t, axes=src + [s + n for s in src])
-    return DensityMatrix(t.reshape(rho.dim, rho.dim), new_order, rho.tol)
+    return DensityMatrix(t.reshape(rho.dim, rho.dim), new_order)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[Label]) -> DensityMatrix:
@@ -238,58 +226,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[Label]) -> DensityMatrix:
         t = np.trace(t, axis1=ax - off, axis2=ax - off + n - off)
     k = len(kept)
     labels = tuple(rho.labels[i] for i in kept)
-    return DensityMatrix(t.reshape(2 ** k, 2 ** k), labels, rho.tol)
-
-
-def measurement_distribution(rho: DensityMatrix,
-                             slots: Sequence[Label]) -> dict[str, float]:
-    """Computational-basis outcome probabilities on the given slots.
-
-    Keys are bit strings in the order of ``slots``.
-    """
-    k = len(slots)
-    out: dict[str, float] = {}
-    for idx in range(2 ** k):
-        bits = format(idx, f"0{k}b")
-        out[bits] = outcome_block(rho, slots, bits)[0]
-    return out
-
-
-def outcome_block(rho: DensityMatrix, slots: Sequence[Label],
-                  bits: str) -> tuple[float, np.ndarray]:
-    """Unnormalized block of ``rho`` with ``slots`` projected onto ``bits``.
-
-    Returns (outcome probability, unnormalized matrix over the
-    remaining slots, in their original order).
-    """
-    if len(bits) != len(slots) or any(b not in "01" for b in bits):
-        raise DomainError(f"outcome {bits!r} does not match slots {tuple(slots)}")
-    positions = [rho.slot(lab) for lab in slots]
-    n = rho.n_qubits
-    t = rho.matrix.reshape([2] * (2 * n))
-    sel: list = [slice(None)] * (2 * n)
-    for pos, b in zip(positions, bits):
-        sel[pos] = int(b)
-        sel[pos + n] = int(b)
-    k = len(slots)
-    block = t[tuple(sel)].reshape(2 ** (n - k), 2 ** (n - k))
-    return float(np.real(block.trace())), block
-
-
-def conditional_state(rho: DensityMatrix, slots: Sequence[Label], bits: str,
-                      min_probability: float = 1e-14
-                      ) -> tuple[float, DensityMatrix]:
-    """Project ``slots`` onto the outcome ``bits`` and renormalize the rest.
-
-    Returns (outcome probability, conditional state over remaining slots).
-    """
-    prob, block = outcome_block(rho, slots, bits)
-    if prob < min_probability or prob <= 0.0:
-        raise ZeroProbabilityError(
-            f"outcome {bits!r} on slots {tuple(slots)} has probability {prob:.3e}"
-        )
-    labels = tuple(lab for lab in rho.labels if lab not in set(slots))
-    return prob, DensityMatrix(block / prob, labels, rho.tol)
+    return DensityMatrix(t.reshape(2 ** k, 2 ** k), labels)
 
 
 @dataclass(frozen=True)

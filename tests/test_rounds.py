@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from xypurify import (
     closed_form_fidelity,
     closed_form_general,
     closed_form_success,
+    cnot_round,
     evolve_composite,
     fidelity,
     operational_time,
@@ -170,6 +172,30 @@ class TestRunRound:
         # anti-correlated bits on a perfectly correlated pair
         with pytest.raises(ZeroProbabilityError):
             run_round(make_input(1.0, 1.0, 0.0), predefined_outcome="0001")
+
+    def test_malformed_outcome_rejected(self):
+        for bits in ("01", "01a1", "01010"):
+            with pytest.raises(DomainError):
+                run_round(make_input(0.8, 0.7, T), predefined_outcome=bits)
+
+    def test_validates_only_two_qubit_states(self, monkeypatch):
+        # the six-qubit state of run_round and the four-qubit state of
+        # cnot_round are plain arrays; returned pairs are validated
+        stored = random_bell_diagonal(np.random.default_rng(5), labels=(3, 6))
+        source, target = werner(0.8), werner(0.7)
+        dims = Counter()
+        validate = DensityMatrix.__post_init__
+
+        def counting(rho):
+            validate(rho)
+            dims[rho.dim] += 1
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        run_round(RoundInput(f=0.8, stationary_state=stored, t0=T))
+        bootstrap_round(0.8, T)
+        cnot_round(source, target)
+        # one returned pair per call, plus the bootstrap's |00> seed
+        assert dims == {4: 4}
 
     def test_oracle_equivalence_small_grid(self):
         for f in (0.55, 0.75, 0.95):
