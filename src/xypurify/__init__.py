@@ -90,7 +90,7 @@ __version__ = "0.1.0"
 
 # the cavity model is the only user of scipy; load it on first use
 _CAVITY_NAMES = frozenset({
-    "AgreementReport", "AmplitudeState", "AsymptoticCouplings",
+    "AgreementReport", "AsymptoticCouplings",
     "CavityGeometry", "Trajectory", "asymptotic_hamiltonian",
     "convergence_study", "coupling", "integrate_effective", "integrate_full",
     "solve_geometry", "xy_agreement",

@@ -26,7 +26,7 @@ from scipy.linalg import expm
 from .errors import DomainError, GeometryError, StiffnessError, TruncationError
 
 ADIABATIC_RATIO_MIN = 20.0
-DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= span * w
+DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN * w
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
 TAIL_MASS_MAX = 1e-8
@@ -45,12 +45,10 @@ class CavityGeometry:
     v : conveyor velocity along z.
     delta : atom-cavity detuning; sign sets the sign of the effective
         coupling g^2/delta.
-    z0 : initial positions of the conveyed atoms (defaults put both a
-        distance ``span*w + d`` before the waist so the whole Gaussian
-        transit lies inside the default window).
-    omega, omega0, omega_e : bare frequencies, bookkeeping only; the
-        dynamics depends on delta alone.
-    ratio_min : adiabaticity threshold for |delta|/g0.
+
+    ``z0``, the initial positions of the conveyed atoms, is derived: both
+    start a distance ``DEFAULT_SPAN*w + d`` before the waist, so the
+    whole Gaussian transit lies inside the window.
     """
 
     g0: float
@@ -59,12 +57,7 @@ class CavityGeometry:
     d: float
     v: float
     delta: float
-    z0: tuple[float, float] | None = None
-    omega: float | None = None
-    omega0: float | None = None
-    omega_e: float | None = None
-    ratio_min: float = ADIABATIC_RATIO_MIN
-    span: float = DEFAULT_SPAN
+    z0: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("g0", "w", "v"):
@@ -74,18 +67,14 @@ class CavityGeometry:
             raise GeometryError("detuning must be nonzero")
         if self.d < 0 or self.ell < 0:
             raise GeometryError("distances d and ell must be nonnegative")
-        if self.span <= 0:
-            raise GeometryError("window span must be positive")
-        if self.z0 is None:
-            start = -self.span * self.w - self.d
-            object.__setattr__(self, "z0", (start, start + self.d))
-        z1, z2 = self.z0
-        if abs(abs(z1 - z2) - self.d) > 1e-12 * max(self.w, 1.0):
-            raise GeometryError(f"|z1 - z2| = {abs(z1 - z2)!r} must equal d = {self.d!r}")
+        # a field, not a property: the integrators' right-hand sides read it
+        # on every step
+        start = -DEFAULT_SPAN * self.w - self.d
+        object.__setattr__(self, "z0", (start, start + self.d))
 
     @property
     def adiabatic(self) -> bool:
-        return abs(self.delta) >= self.ratio_min * self.g0
+        return abs(self.delta) >= ADIABATIC_RATIO_MIN * self.g0
 
     @property
     def g_trapped(self) -> float:
@@ -107,21 +96,18 @@ class CavityGeometry:
         return math.sqrt(math.pi) * self.w / self.v
 
     def window(self) -> tuple[float, float]:
-        """Time window over which both conveyed atoms cover |z| <= span*w."""
+        """Time window over which both conveyed atoms cover |z| <= DEFAULT_SPAN*w."""
         z1, z2 = self.z0
         t_a = 0.0
-        t_b = (self.span * self.w - min(z1, z2)) / self.v
+        t_b = (DEFAULT_SPAN * self.w - min(z1, z2)) / self.v
         return t_a, t_b
 
 
 def coupling(geom: CavityGeometry, atom: int, t: float) -> float:
     """Atom-cavity coupling of atom 1, 2 (conveyed) or 3 (trapped) at time t."""
-    if atom == 3:
-        return geom.g_trapped
-    if atom not in (1, 2):
+    if atom not in (1, 2, 3):
         raise DomainError(f"atom index must be 1, 2 or 3, got {atom}")
-    z = geom.z0[atom - 1] + geom.v * t
-    return geom.g0 * math.exp(-(z / geom.w) ** 2)
+    return float(_coupling_vector(geom, t)[atom - 1])
 
 
 def _coupling_vector(geom: CavityGeometry, t: float) -> np.ndarray:
@@ -134,32 +120,14 @@ def _coupling_vector(geom: CavityGeometry, t: float) -> np.ndarray:
     ])
 
 
-def peak_collective_coupling(geom: CavityGeometry, samples: int = 2001) -> float:
-    """max over the window of the collective coupling sqrt(sum g_k^2)."""
+def peak_collective_coupling(geom: CavityGeometry) -> float:
+    """max over 2001 window samples of the collective coupling sqrt(sum g_k^2)."""
     t_a, t_b = geom.window()
-    ts = np.linspace(t_a, t_b, samples)
+    ts = np.linspace(t_a, t_b, 2001)
     z1, z2 = geom.z0
     g1 = geom.g0 * np.exp(-((z1 + geom.v * ts) / geom.w) ** 2)
     g2 = geom.g0 * np.exp(-((z2 + geom.v * ts) / geom.w) ** 2)
     return float(np.sqrt(g1 ** 2 + g2 ** 2 + geom.g_trapped ** 2).max())
-
-
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Single-excitation amplitudes: one photon (c0) or one excited atom."""
-
-    t: float
-    c0: complex
-    c1: complex
-    c2: complex
-    c3: complex
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2, self.c3], dtype=complex)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector()))
 
 
 @dataclass(frozen=True)
@@ -186,7 +154,7 @@ def _check_initial(c: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def integrate_full(geom: CavityGeometry, initial: np.ndarray | AmplitudeState,
+def integrate_full(geom: CavityGeometry, initial: np.ndarray,
                    window: tuple[float, float] | None = None) -> Trajectory:
     """Integrate the exact single-excitation atom-photon dynamics.
 
@@ -198,8 +166,6 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray | AmplitudeState,
     is accepted.  The trajectory is stored at the solver's natural
     steps, which resolve the fast photon-amplitude oscillation.
     """
-    if isinstance(initial, AmplitudeState):
-        initial = initial.vector()
     c_init = _check_initial(initial, 4)
     t_a, t_b = window if window is not None else geom.window()
     delta = geom.delta
@@ -295,11 +261,9 @@ def solve_geometry(ell: float, w: float) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticCouplings:
-    """Transit-integrated coupling matrix and its analytic counterpart."""
+    """Transit-integrated coupling coefficients, checked against the closed form."""
 
-    h_inf: np.ndarray = field(repr=False)      # 3x3 single-excitation generator
     c_matrix: np.ndarray = field(repr=False)   # dimensionless coefficients
-    t_prime: float
     max_rel_error: float                        # numeric vs closed form
 
 
@@ -334,7 +298,7 @@ def asymptotic_hamiltonian(geom: CavityGeometry,
     if tail > TAIL_MASS_MAX:
         raise TruncationError(
             f"window clips coupling tails (erfc({reach:.3g}) = {tail:.3e}); "
-            "widen the window or increase span")
+            "widen the window")
 
     prefactor = geom.g0 ** 2 * math.exp(-(geom.ell / geom.w) ** 2) / geom.delta
     tp = geom.t_prime
@@ -356,9 +320,7 @@ def asymptotic_hamiltonian(geom: CavityGeometry,
     c_numeric = numeric / (prefactor * tp)
     np.fill_diagonal(c_numeric, 0.0)
     return AsymptoticCouplings(
-        h_inf=closed,
         c_matrix=c_numeric,
-        t_prime=tp,
         max_rel_error=float(rel.max()),
     )
 
@@ -409,33 +371,38 @@ class AgreementReport:
     adiabatic: bool
 
 
-def xy_agreement(geom: CavityGeometry,
-                 initial: Sequence[complex] = (1.0, 0.0, 0.0), *,
+# the excitation starts on conveyed atom 1, with no photon
+_C3 = np.array([1.0, 0.0, 0.0], dtype=complex)
+_C4 = np.concatenate(([0.0 + 0j], _C3))
+
+
+def _mean_endpoint(geom: CavityGeometry) -> np.ndarray:
+    """Atomic amplitudes after one transit of the constant mean-coupling model."""
+    return expm(-1j * _mean_hamiltonian_3(geom) * geom.t_prime) @ _C3
+
+
+def xy_agreement(geom: CavityGeometry, *,
                  full: Trajectory | None = None) -> AgreementReport:
     """Quantify the microscopic-to-ring-exchange reduction for one transit.
 
-    ``full`` lets a caller that already holds
-    ``integrate_full(geom, (0, *initial))`` pass it in instead of having
-    it integrated again.
+    The excitation starts on conveyed atom 1.  ``full`` lets a caller
+    that already holds ``integrate_full(geom, (0, 1, 0, 0))`` pass it in
+    instead of having it integrated again.
     """
-    c3 = _check_initial(np.asarray(initial, dtype=complex), 3)
-    c4 = np.concatenate(([0.0 + 0j], c3))
-
     if full is None:
-        full = integrate_full(geom, c4)
-    elif (full.amplitudes.shape[1] != 4 or not np.allclose(full.amplitudes[0], c4)
+        full = integrate_full(geom, _C4)
+    elif (full.amplitudes.shape[1] != 4 or not np.allclose(full.amplitudes[0], _C4)
           or (full.times[0], full.times[-1]) != geom.window()):
-        raise DomainError("full trajectory must be integrate_full(geom, (0, *initial)) "
+        raise DomainError("full trajectory must be integrate_full(geom, (0, 1, 0, 0)) "
                           "over the geometry's window")
-    eff = integrate_effective(geom, c3)
+    eff = integrate_effective(geom, _C3)
     tp = geom.t_prime
 
-    u_mean = expm(-1j * _mean_hamiltonian_3(geom) * tp)
-    mean_end = u_mean @ c3
+    mean_end = _mean_endpoint(geom)
     u_xy = expm(-1j * _ring_exchange_3(geom) * tp)
     # single-excitation sector: the level-shift correction is the scalar
     # phase exp(-i J t')
-    corrected_xy_end = np.exp(-1j * geom.j_effective * tp) * (u_xy @ c3)
+    corrected_xy_end = np.exp(-1j * geom.j_effective * tp) * (u_xy @ _C3)
 
     full_atoms = full.endpoint[1:]
 
@@ -469,17 +436,18 @@ def xy_agreement(geom: CavityGeometry,
 
 
 def convergence_study(geom: CavityGeometry,
-                      factors: Sequence[float] = (1.0, 2.0, 4.0),
-                      initial: Sequence[complex] = (1.0, 0.0, 0.0)
+                      factors: Sequence[float] = (1.0, 2.0, 4.0)
                       ) -> list[tuple[float, float]]:
     """Full-vs-mean endpoint distance as the detuning is scaled up.
 
-    Returns (detuning, distance) pairs; first-order elimination error
+    Returns (detuning, distance) pairs, each distance the
+    ``distance_full_mean`` of :func:`xy_agreement` at that detuning, from
+    one exact integration per factor.  First-order elimination error
     means the distance should halve each time the detuning doubles.
     """
     out = []
     for fac in factors:
         g = replace(geom, delta=geom.delta * fac)
-        rep = xy_agreement(g, initial)
-        out.append((g.delta, rep.distance_full_mean))
+        full_atoms = integrate_full(g, _C4).endpoint[1:]
+        out.append((g.delta, distance_mod_phase(full_atoms, _mean_endpoint(g))))
     return out

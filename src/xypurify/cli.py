@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Iterable, Sequence
 
 import click
@@ -225,17 +225,17 @@ def cmd_validate_cavity(delta: float, ell: float, v: float,
     if not geom.adiabatic and not force:
         raise cavity.GeometryError(
             f"detuning ratio |delta|/g0 = {abs(delta):.4g} is below the "
-            f"adiabatic minimum {geom.ratio_min:.4g}; the effective dynamics "
-            "is not trustworthy here (pass --force to run anyway)")
-    # one integration per (detuning, initial state): the exact run at delta
-    # feeds the agreement and the dumped trajectory, and the agreement at
-    # delta is the first point of the convergence ratio
+            f"adiabatic minimum {cavity.ADIABATIC_RATIO_MIN:.4g}; the effective "
+            "dynamics is not trustworthy here (pass --force to run anyway)")
+    # one integration per detuning: the exact run at delta feeds the
+    # agreement and the dumped trajectory; the exact run at 2 delta is the
+    # other point of the convergence ratio
     full = cavity.integrate_full(geom, np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
     report = cavity.xy_agreement(geom, full=full)
     couplings = cavity.asymptotic_hamiltonian(geom)
-    doubled = cavity.xy_agreement(replace(geom, delta=2.0 * geom.delta))
+    [(_, doubled)] = cavity.convergence_study(geom, (2.0,))
     dist = report.distance_full_mean
-    ratio = doubled.distance_full_mean / dist if dist > 0 else float("nan")
+    ratio = doubled / dist if dist > 0 else float("nan")
     payload = {
         "geometry": {
             "delta_over_g0": delta, "ell_over_w": ell, "d_over_w": d,

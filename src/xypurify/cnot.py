@@ -121,10 +121,11 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
     if n < 1:
         raise DomainError(f"need at least one round, got n={n}")
     stored = werner(f, labels=_SOURCE)
+    target = werner(f)
     rounds: list[PumpRound] = []
     current = f
     for k in range(1, n + 1):
-        res = cnot_round(stored, werner(f))
+        res = cnot_round(stored, target)
         stored = res.post_state
         rounds.append(PumpRound(n=k, fidelity=res.fidelity,
                                 delta=res.fidelity - current,

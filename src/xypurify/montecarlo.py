@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigurationError
-from .pumping import _werner_rounds, fixed_point
+from .pumping import MAX_ROUNDS, _werner_rounds, fixed_point
 from .rounds import closed_form_general
 
 GATE_TIME_DEFAULT = math.pi / 6.0          # units of 1/J, one gate at n = 0
@@ -77,6 +77,14 @@ class ProtocolConfig:
                     f"target fidelity {self.target_fidelity} is unreachable; "
                     f"the pump map for f = {self.f} is bounded by the fixed "
                     f"point {limit:.12g}")
+            # the bisected fixed point is good to 1e-12 only; the recurrence
+            # run_protocol follows can settle below it
+            walk = islice(_werner_rounds(self.f), MAX_ROUNDS)
+            if not any(fid >= self.target_fidelity for fid, _ in walk):
+                raise ConfigurationError(
+                    f"target fidelity {self.target_fidelity} is unreachable; "
+                    f"the pump recurrence for f = {self.f} does not reach it "
+                    f"in {MAX_ROUNDS} rounds (fixed point {limit:.12g})")
         if not 0.0 <= self.p_inconclusive < 1.0:
             raise ConfigurationError(
                 f"p_inconclusive must lie in [0, 1), got {self.p_inconclusive}")
@@ -190,7 +198,8 @@ def simulate_batch(config: ProtocolConfig, trials: int,
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         chunks = [(config, int(a), int(b))
                   for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks max_workers processes up front; one per chunk
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_run_chunk, chunks))
         stats = [s for part in parts for s in part]
 

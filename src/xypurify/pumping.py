@@ -35,6 +35,7 @@ from .rounds import bell_diagonal_map, closed_form_general
 
 SATURATION_THRESHOLD = 0.005   # per-round gain below this counts as saturated
 EPSILON_DEFAULT = 1e-3         # default fixed-point proximity target
+MAX_ROUNDS = 10_000            # bound on a search along a pump trajectory
 
 PumpMode = Literal["closed_form", "simulation"]
 
@@ -126,7 +127,7 @@ def _rounds_within(trajectory: Iterator[tuple[float, float]], f: float,
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if target - f < epsilon:
         return 0
-    for n, (fid, _) in enumerate(islice(trajectory, 10_000), start=1):
+    for n, (fid, _) in enumerate(islice(trajectory, MAX_ROUNDS), start=1):
         if target - fid < epsilon:
             return n
     raise AnalysisError(f"pump map failed to approach its fixed point for f={f}")

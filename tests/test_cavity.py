@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,9 +40,6 @@ class TestGeometry:
             CavityGeometry(g0=0.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=50.0)
         with pytest.raises(GeometryError):
             CavityGeometry(g0=1.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=0.0)
-        with pytest.raises(GeometryError):
-            CavityGeometry(g0=1.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=50.0,
-                           z0=(-3.0, -1.0))
 
     def test_adiabatic_flag(self):
         assert default_geom(delta=50.0).adiabatic
@@ -51,6 +49,7 @@ class TestGeometry:
     def test_default_positions_respect_spacing(self):
         geom = default_geom()
         assert abs(abs(geom.z0[0] - geom.z0[1]) - geom.d) < 1e-12
+        assert replace(geom, delta=100.0).z0 == geom.z0
 
 
 class TestCoupling:
@@ -235,10 +234,15 @@ class TestAgreement:
         assert 0.0 < rep.commutator_ratio < 1.0
 
     def test_convergence_order_one(self):
-        study = convergence_study(default_geom(), factors=(1.0, 2.0, 4.0))
+        geom = default_geom()
+        study = convergence_study(geom, factors=(1.0, 2.0, 4.0))
         d1, d2, d4 = (d for _, d in study)
         assert 0.4 < d2 / d1 < 0.6
         assert 0.4 < d4 / d2 < 0.6
+        # the exact-only study reads the same distance as the full report
+        assert [d for _, d in convergence_study(geom, (1.0, 2.0))] == [
+            xy_agreement(replace(geom, delta=delta)).distance_full_mean
+            for delta in (geom.delta, 2.0 * geom.delta)]
 
     def test_precomputed_trajectory_changes_nothing(self):
         geom = default_geom()

@@ -195,7 +195,6 @@ class TestValidateCavityCommand:
         run_ok(runner, ["validate-cavity", "--delta", "50", "--ell", "1.0",
                         "--dump-trajectory", str(tmp_path / "traj.csv")])
         assert sorted(calls) == [("integrate_effective", 50.0),
-                                 ("integrate_effective", 100.0),
                                  ("integrate_full", 50.0),
                                  ("integrate_full", 100.0)]
 

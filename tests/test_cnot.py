@@ -188,6 +188,11 @@ class TestDejmpsMap:
         original = cnot.cnot_round
         monkeypatch.setattr(cnot, "cnot_round",
                             lambda *a: calls.append(1) or original(*a))
+        built = []
+        werner = cnot.werner
+        monkeypatch.setattr(cnot, "werner",
+                            lambda *a, **kw: built.append(1) or werner(*a, **kw))
         trace = scheme_c_pump(0.75, 2)
         assert len(calls) == 2
+        assert len(built) == 2  # the stored pair and one target for all rounds
         assert trace.n_optimal == simulated_optimal_rounds(0.75, EPSILON_DEFAULT)

@@ -17,7 +17,7 @@ import xypurify
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy", "concurrent.futures.process")
 CAVITY_NAMES = (
-    "AgreementReport", "AmplitudeState", "AsymptoticCouplings",
+    "AgreementReport", "AsymptoticCouplings",
     "CavityGeometry", "Trajectory", "asymptotic_hamiltonian",
     "convergence_study", "coupling", "integrate_effective", "integrate_full",
     "solve_geometry", "xy_agreement",

@@ -34,6 +34,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError) as err:
             ProtocolConfig(f=0.75, target_fidelity=limit + 1e-6, seed=1)
         assert f"{limit:.6f}"[:6] in str(err.value)
+        # below the bisected fixed point (0.6950810809207724) but above the
+        # value the floating-point recurrence settles at (0.6950810809204822)
+        with pytest.raises(ConfigurationError, match="does not reach it"):
+            ProtocolConfig(f=0.6, target_fidelity=0.6950810809206, seed=1)
 
     def test_reachable_target_accepted(self):
         ProtocolConfig(f=0.75, target_fidelity=0.86, seed=1)
@@ -121,6 +125,29 @@ class TestBatch:
         assert one.attempts_per_trial == many.attempts_per_trial
         assert one.mean_attempts == many.mean_attempts
         assert one.attempts_by_round == many.attempts_by_round
+
+    def test_pool_sized_to_chunks(self, monkeypatch):
+        import concurrent.futures
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = config(seed=5)
+        batch = simulate_batch(cfg, 10, workers=64)
+        assert sizes == [10]
+        assert batch.attempts_per_trial == simulate_batch(cfg, 10).attempts_per_trial
 
     def test_matches_analytic_attempts(self):
         batch = simulate_batch(config(seed=2024), 20_000)
