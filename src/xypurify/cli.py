@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain
 from typing import Iterable, Sequence
 
 import click
@@ -39,14 +40,17 @@ def _fmt(x) -> str:
 
 
 def _emit_csv(header: Sequence[str], table: Iterable[Sequence], output: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in table)
-    text = "\n".join(lines) + "\n"
+    """Write a CSV table: to a file one line per row, to stdout in one piece.
+
+    A row that raises while the file is written leaves a partial file, so
+    a table whose rows call the library is built before this is called.
+    """
+    lines = (",".join(_fmt(v) for v in row) + "\n" for row in chain([header], table))
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        click.echo(text, nl=False)
+        click.echo("".join(lines), nl=False)
 
 
 def _finite_or_null(value):
@@ -250,11 +254,11 @@ def cmd_validate_cavity(delta: float, ell: float, v: float,
     if dump_trajectory:
         header = ["t", "re_c0", "im_c0", "re_c1", "im_c1", "re_c2", "im_c2",
                   "re_c3", "im_c3", "photon_population"]
-        table = [
+        table = (
             [t, c[0].real, c[0].imag, c[1].real, c[1].imag,
              c[2].real, c[2].imag, c[3].real, c[3].imag, abs(c[0]) ** 2]
             for t, c in zip(full.times, full.amplitudes)
-        ]
+        )
         _emit_csv(header, table, dump_trajectory)
     _emit_json(payload, output)
 
@@ -322,7 +326,7 @@ def cmd_montecarlo(config_path: str, trials_csv: str | None, workers: int,
     _emit_json(payload, output)
     if trials_csv:
         _emit_csv(["trial", "attempts"],
-                  list(enumerate(batch.attempts_per_trial)), trials_csv)
+                  enumerate(batch.attempts_per_trial), trials_csv)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ Each attempt evaluates the scalar pump map
 :func:`xypurify.rounds.closed_form_general` at the current stored
 fidelity.  The analytic mean :func:`expected_attempts` walks the same
 map through the shared iterator of :mod:`xypurify.pumping`.
+:func:`simulate_batch` keeps each trial's outcome as a few numbers in
+flat arrays and holds one :class:`ProtocolStats` at a time.
 
 Reproducibility: every trial draws from its own generator seeded by
 (seed, trial index), so results are independent of scheduling and
@@ -19,9 +21,11 @@ worker count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, zip_longest
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from .rounds import closed_form_general
 GATE_TIME_DEFAULT = math.pi / 6.0          # units of 1/J, one gate at n = 0
 RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
 MESSAGES_PER_ATTEMPT = 2
+MAX_EXPECTED_ATTEMPTS = 10**6    # bound on a config's mean attempts per trial
 
 
 def _check_count(name: str, value) -> None:
@@ -68,28 +73,64 @@ class ProtocolConfig:
         if (self.target_rounds is None) == (self.target_fidelity is None):
             raise ConfigurationError(
                 "set exactly one of target_rounds / target_fidelity")
+        if not 0.0 <= self.p_inconclusive < 1.0:
+            raise ConfigurationError(
+                f"p_inconclusive must lie in [0, 1), got {self.p_inconclusive}")
         if self.target_rounds is not None:
             _check_count("target_rounds", self.target_rounds)
-        if self.target_fidelity is not None:
+            # every round takes at least one attempt on average
+            if self.target_rounds > MAX_EXPECTED_ATTEMPTS:
+                raise ConfigurationError(
+                    f"target_rounds = {self.target_rounds} needs at least "
+                    f"{self.target_rounds} attempts per trial on average, above "
+                    f"the bound of {MAX_EXPECTED_ATTEMPTS}")
+            rounds = islice(_werner_rounds(self.f), self.target_rounds)
+        else:
             limit = fixed_point(self.f)
             if not self.f <= self.target_fidelity < limit:
                 raise ConfigurationError(
                     f"target fidelity {self.target_fidelity} is unreachable; "
                     f"the pump map for f = {self.f} is bounded by the fixed "
                     f"point {limit:.12g}")
-            # the bisected fixed point is good to 1e-12 only; the recurrence
-            # run_protocol follows can settle below it
-            walk = islice(_werner_rounds(self.f), MAX_ROUNDS)
-            if not any(fid >= self.target_fidelity for fid, _ in walk):
-                raise ConfigurationError(
-                    f"target fidelity {self.target_fidelity} is unreachable; "
-                    f"the pump recurrence for f = {self.f} does not reach it "
-                    f"in {MAX_ROUNDS} rounds (fixed point {limit:.12g})")
-        if not 0.0 <= self.p_inconclusive < 1.0:
-            raise ConfigurationError(
-                f"p_inconclusive must lie in [0, 1), got {self.p_inconclusive}")
+            rounds = _rounds_to(self.f, self.target_fidelity, limit)
+        _expected_total(rounds, self.p_inconclusive)
         if self.gate_time < 0 or self.restore_extra_time < 0 or self.message_latency < 0:
             raise ConfigurationError("times must be nonnegative")
+
+
+def _rounds_to(f: float, target: float, limit: float) -> Iterator[tuple[float, float]]:
+    """(F_k, P_k) of the rounds a trial needs to reach ``target``.
+
+    Raises once ``MAX_ROUNDS`` rounds fall short: the bisected fixed
+    point ``limit`` is good to 1e-12 only, and the recurrence
+    ``run_protocol`` follows can settle below it.
+    """
+    if f >= target:
+        return
+    for fid, p_succ in islice(_werner_rounds(f), MAX_ROUNDS):
+        yield fid, p_succ
+        if fid >= target:
+            return
+    raise ConfigurationError(
+        f"target fidelity {target} is unreachable; the pump recurrence for "
+        f"f = {f} does not reach it in {MAX_ROUNDS} rounds (fixed point {limit:.12g})")
+
+
+def _expected_total(rounds: Iterable[tuple[float, float]], p_inconclusive: float) -> float:
+    """Mean attempts over ``rounds``, a sum of geometric means.
+
+    Raises as soon as the sum passes ``MAX_EXPECTED_ATTEMPTS``, so a
+    config whose trials would run without practical bound is rejected
+    before any draw.
+    """
+    total = 0.0
+    for _, p_succ in rounds:
+        total += 1.0 / (p_succ * (1.0 - p_inconclusive))
+        if total > MAX_EXPECTED_ATTEMPTS:
+            raise ConfigurationError(
+                f"a trial needs at least {total:.0f} attempts on average, "
+                f"above the bound of {MAX_EXPECTED_ATTEMPTS}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -176,9 +217,45 @@ class BatchStats:
     attempts_per_trial: tuple[int, ...] = field(repr=False)
 
 
-def _run_chunk(args: tuple[ProtocolConfig, int, int]) -> list[ProtocolStats]:
-    config, start, stop = args
-    return [run_protocol(config, trial) for trial in range(start, stop)]
+class _Chunk(NamedTuple):
+    """Outcomes of consecutive trials, in trial order."""
+
+    attempts: np.ndarray        # rounds_attempted of each trial
+    times: np.ndarray           # total_time of each trial
+    finals: np.ndarray          # final_fidelity of each trial
+    attempts_by_round: list[int]
+    successes_by_round: list[int]
+
+
+def _run_chunk(config: ProtocolConfig, trials: range) -> _Chunk:
+    """Run ``trials``, keeping their numbers and one ``ProtocolStats`` at a time."""
+    attempts, times, finals = (np.empty(len(trials)) for _ in range(3))
+    attempts_by_round: list[int] = []
+    successes_by_round: list[int] = []
+    for i, trial in enumerate(trials):
+        stats = run_protocol(config, trial)
+        attempts[i] = stats.rounds_attempted
+        times[i] = stats.total_time
+        finals[i] = stats.final_fidelity
+        for k, n_att in enumerate(stats.attempts_per_round):
+            if k == len(attempts_by_round):
+                attempts_by_round.append(0)
+                successes_by_round.append(0)
+            attempts_by_round[k] += n_att
+            successes_by_round[k] += 1
+    return _Chunk(attempts, times, finals, attempts_by_round, successes_by_round)
+
+
+def _join(parts: list[_Chunk]) -> _Chunk:
+    """Chunks of consecutive trial ranges as one chunk, in trial order."""
+    def add(sums: Iterable[list[int]]) -> list[int]:
+        return [sum(k) for k in zip_longest(*sums, fillvalue=0)]
+
+    return _Chunk(np.concatenate([p.attempts for p in parts]),
+                  np.concatenate([p.times for p in parts]),
+                  np.concatenate([p.finals for p in parts]),
+                  add(p.attempts_by_round for p in parts),
+                  add(p.successes_by_round for p in parts))
 
 
 def simulate_batch(config: ProtocolConfig, trials: int,
@@ -192,28 +269,14 @@ def simulate_batch(config: ProtocolConfig, trials: int,
     _check_count("workers", workers)
 
     if workers == 1:
-        stats = [run_protocol(config, trial) for trial in range(trials)]
+        run = _run_chunk(config, range(trials))
     else:
         from concurrent.futures import ProcessPoolExecutor
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        chunks = [(config, int(a), int(b))
-                  for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         # the pool forks max_workers processes up front; one per chunk
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
-        stats = [s for part in parts for s in part]
-
-    attempts = np.array([s.rounds_attempted for s in stats], dtype=float)
-    times = np.array([s.total_time for s in stats], dtype=float)
-    finals = np.array([s.final_fidelity for s in stats], dtype=float)
-
-    max_round = max(s.rounds_succeeded for s in stats)
-    attempts_by_round = [0] * max_round
-    successes_by_round = [0] * max_round
-    for s in stats:
-        for k, n_att in enumerate(s.attempts_per_round):
-            attempts_by_round[k] += n_att
-            successes_by_round[k] += 1
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            run = _join(list(pool.map(functools.partial(_run_chunk, config), spans)))
 
     def halfwidth(x: np.ndarray) -> float:
         if len(x) < 2:
@@ -222,14 +285,14 @@ def simulate_batch(config: ProtocolConfig, trials: int,
 
     return BatchStats(
         trials=trials,
-        mean_attempts=float(attempts.mean()),
-        attempts_halfwidth=halfwidth(attempts),
-        mean_time=float(times.mean()),
-        time_halfwidth=halfwidth(times),
-        mean_final_fidelity=float(finals.mean()),
-        attempts_by_round=tuple(attempts_by_round),
-        successes_by_round=tuple(successes_by_round),
-        attempts_per_trial=tuple(int(a) for a in attempts),
+        mean_attempts=float(run.attempts.mean()),
+        attempts_halfwidth=halfwidth(run.attempts),
+        mean_time=float(run.times.mean()),
+        time_halfwidth=halfwidth(run.times),
+        mean_final_fidelity=float(run.finals.mean()),
+        attempts_by_round=tuple(run.attempts_by_round),
+        successes_by_round=tuple(run.successes_by_round),
+        attempts_per_trial=tuple(run.attempts.astype(int).tolist()),
     )
 
 
@@ -237,7 +300,4 @@ def expected_attempts(f: float, target_rounds: int,
                       p_inconclusive: float = 0.0) -> float:
     """Analytic mean attempt count: sum of geometric means per round."""
     ProtocolConfig(f=f, target_rounds=target_rounds, p_inconclusive=p_inconclusive)
-    total = 0.0
-    for _, p_succ in islice(_werner_rounds(f), target_rounds):
-        total += 1.0 / (p_succ * (1.0 - p_inconclusive))
-    return total
+    return _expected_total(islice(_werner_rounds(f), target_rounds), p_inconclusive)

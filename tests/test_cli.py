@@ -131,6 +131,28 @@ class TestFig6Command:
         assert "," not in cell and cell.count(".") <= 1
 
 
+class TestCsvOutput:
+    @pytest.mark.parametrize("args", [["fig5", "--panel", "c"], ["fig6"]],
+                             ids=["fig5-c", "fig6"])
+    def test_stdout_equals_output_file(self, runner, tmp_path, args):
+        out = tmp_path / "table.csv"
+        shown = run_ok(runner, args).stdout
+        run_ok(runner, args + ["--output", str(out)])
+        assert out.read_bytes() == shown.encode("utf-8")
+
+    @pytest.mark.parametrize("args", [["fig5", "--panel", "c", "--f-min", "1.2",
+                                       "--f-max", "1.3"],
+                                      ["fig6", "--f-min", "0.4"]],
+                             ids=["fig5-c", "fig6"])
+    def test_domain_error_leaves_no_file(self, runner, tmp_path, args):
+        out = tmp_path / "table.csv"
+        result = runner.invoke(main, args + ["--output", str(out)])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+        assert not out.exists()
+
+
 class TestValidateCavityCommand:
     def test_default_geometry_report(self, runner):
         result = run_ok(runner, ["validate-cavity", "--delta", "50",

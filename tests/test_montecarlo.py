@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from xypurify import (
     run_protocol,
     simulate_batch,
 )
-from xypurify.montecarlo import GATE_TIME_DEFAULT, RESTORE_EXTRA_DEFAULT
+from xypurify import montecarlo
+from xypurify.montecarlo import (
+    GATE_TIME_DEFAULT,
+    MAX_EXPECTED_ATTEMPTS,
+    RESTORE_EXTRA_DEFAULT,
+)
 
 
 def config(**kw):
@@ -39,8 +45,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="does not reach it"):
             ProtocolConfig(f=0.6, target_fidelity=0.6950810809206, seed=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"target_rounds": 4, "p_inconclusive": 0.999999},
+        {"target_fidelity": 0.86, "p_inconclusive": 0.99999},
+        {"target_rounds": 500_000},
+    ], ids=["rounds-inconclusive", "fidelity-inconclusive", "many-rounds"])
+    def test_unbounded_attempts_rejected_before_sampling(self, kwargs):
+        # building the config is the whole test: these would run for hours
+        with pytest.raises(ConfigurationError, match="attempts on average"):
+            ProtocolConfig(f=0.75, seed=1, **kwargs)
+        if "target_rounds" in kwargs:
+            with pytest.raises(ConfigurationError, match="attempts on average"):
+                expected_attempts(0.75, kwargs["target_rounds"],
+                                  kwargs.get("p_inconclusive", 0.0))
+
+    def test_huge_target_rounds_rejected_without_walking(self, monkeypatch):
+        def no_walk(f):
+            raise AssertionError("walked the pump trajectory")
+        monkeypatch.setattr(montecarlo, "_werner_rounds", no_walk)
+        for build in (lambda: ProtocolConfig(f=0.75, target_rounds=10**12, seed=1),
+                      lambda: expected_attempts(0.75, MAX_EXPECTED_ATTEMPTS + 1)):
+            with pytest.raises(ConfigurationError, match=str(MAX_EXPECTED_ATTEMPTS)):
+                build()
+
+    def test_attempt_bound_cites_expected_count(self):
+        # the first round alone needs 1 / (P_1 (1 - p_inconclusive)) attempts
+        p_first = closed_form_general(0.75, 0.75).success_probability
+        with pytest.raises(ConfigurationError) as err:
+            ProtocolConfig(f=0.75, target_rounds=4, p_inconclusive=0.999999, seed=1)
+        assert f"at least {1.0 / (p_first * (1.0 - 0.999999)):.0f} attempts" in str(err.value)
+
     def test_reachable_target_accepted(self):
         ProtocolConfig(f=0.75, target_fidelity=0.86, seed=1)
+        # seven rounds with half the readouts inconclusive: about 100 attempts
+        ProtocolConfig(f=0.75, target_fidelity=pump(0.75, 7).fidelities[-1],
+                       p_inconclusive=0.5, seed=1)
 
     def test_probability_range(self):
         with pytest.raises(ConfigurationError):
@@ -125,6 +164,22 @@ class TestBatch:
         assert one.attempts_per_trial == many.attempts_per_trial
         assert one.mean_attempts == many.mean_attempts
         assert one.attempts_by_round == many.attempts_by_round
+
+    def test_keeps_no_per_trial_results(self, monkeypatch):
+        refs, calls, alive_at_call = [], [], []
+        original = montecarlo.run_protocol
+
+        def tracked(config, trial=0):
+            calls.append(trial)
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+            result = original(config, trial)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(montecarlo, "run_protocol", tracked)
+        simulate_batch(config(seed=8), 500)
+        assert calls == list(range(500))
+        assert max(alive_at_call) <= 1
 
     def test_pool_sized_to_chunks(self, monkeypatch):
         import concurrent.futures
