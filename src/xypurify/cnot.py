@@ -14,17 +14,17 @@ assignment works equally well, the same-sign ones do not.
 
 With these rotations the round is the DEJMPS protocol (Deutsch et al.,
 PRL 77, 2818, 1996).  A Bell-diagonal source with a Werner(f) target
-stays Bell-diagonal, and its Bell weights follow a 4x4 map in f; the
-fixed point and the optimal round count of :func:`scheme_c_pump` iterate
-that map through the shared Bell-weight iterator of
-:mod:`xypurify.pumping`.  :func:`cnot_round` simulates the four-qubit
-circuit, computes the rounds :func:`scheme_c_pump` reports, and stays
-the oracle the map is tested against.
+stays Bell-diagonal, and its Bell weights follow a 4x4 map in f.  The
+fixed point of :func:`scheme_c_pump` is that map's Perron eigenvector,
+and its optimal round count iterates the map through the shared
+Bell-weight iterator of :mod:`xypurify.pumping`.  :func:`cnot_round`
+simulates the four-qubit circuit, computes the rounds
+:func:`scheme_c_pump` reports, and stays the oracle the map is tested
+against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,8 +42,6 @@ U_MINUS = (_I2 - 1j * _X) / np.sqrt(2.0)
 
 # qubit order inside the round: (1A, 1B, 2A, 2B); the source is kept
 _SOURCE = ("1A", "1B")
-
-_FIXED_POINT_ROUNDS = 500   # map rounds the fixed-point search may take
 
 
 def _kron(*ops: np.ndarray) -> np.ndarray:
@@ -157,12 +155,15 @@ def _dejmps_map(f: float) -> np.ndarray:
 
 
 def _scheme_c_fixed_point(f: float) -> float:
-    prev = f
-    for fid, _ in islice(_bell_rounds(_dejmps_map(f), f), _FIXED_POINT_ROUNDS):
-        if abs(fid - prev) < 1e-13:
-            return fid
-        prev = fid
-    raise AnalysisError(f"baseline pump did not converge for f={f}")
+    """phi+ weight of the Perron eigenvector of :func:`_dejmps_map`.
+
+    The map has no negative entries, so by Perron-Frobenius the
+    normalised weights of :func:`xypurify.pumping._bell_rounds`, a power
+    iteration, converge to the eigenvector of its largest eigenvalue.
+    """
+    values, vectors = np.linalg.eig(_dejmps_map(f))
+    v = vectors[:, np.argmax(values.real)]
+    return float((v[0] / v.sum()).real)
 
 
 @dataclass(frozen=True)

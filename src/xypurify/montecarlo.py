@@ -101,9 +101,9 @@ class ProtocolConfig:
 def _rounds_to(f: float, target: float, limit: float) -> Iterator[tuple[float, float]]:
     """(F_k, P_k) of the rounds a trial needs to reach ``target``.
 
-    Raises once ``MAX_ROUNDS`` rounds fall short: the bisected fixed
-    point ``limit`` is good to 1e-12 only, and the recurrence
-    ``run_protocol`` follows can settle below it.
+    Raises once ``MAX_ROUNDS`` rounds fall short: the recurrence
+    ``run_protocol`` follows settles in floating point a few ulps from
+    the closed-form fixed point ``limit``, and can settle below it.
     """
     if f >= target:
         return

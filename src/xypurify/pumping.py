@@ -21,9 +21,13 @@ scalar recurrence and ``_bell_rounds`` any 4x4 Bell-weight map (the
 exact XY map above or the DEJMPS map of :mod:`xypurify.cnot`);
 ``_rounds_within`` is the one optimal-round search over either.
 :mod:`xypurify.cnot` and :mod:`xypurify.montecarlo` iterate through them.
+Fixed points are not searched for: the recurrence's is the root of a
+quadratic (:func:`fixed_point`), and a Bell-weight map's is its Perron
+eigenvector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Literal, Sequence
@@ -66,29 +70,21 @@ class PumpTrace:
 
 
 def fixed_point(f: float) -> float:
-    """Stationary fidelity x solving F(T, f, x) = x on (1/2, 1].
+    """Stationary fidelity x solving F(T, f, x) = x on [1/2, 1].
 
-    Bisection to 1e-12; the pump sequence converges to this value
+    Clearing the denominator of :func:`closed_form_general` leaves the
+    quadratic a x^2 + b x + c = 0 with a = 4f(4f - 1), b = 4(1 - 4f^2)
+    and c = -(1 - f); this is its larger root.  On [1/2, 1], a > 0 and
+    b, c <= 0, so -b + sqrt(b^2 - 4ac) adds two nonnegative terms and
+    does not cancel.  The pump sequence converges to this value
     monotonically from below.
     """
     if not 0.5 <= f <= 1.0:
         raise DomainError(f"fixed point defined for f in [0.5, 1], got {f}")
-    if f == 1.0:
-        return 1.0
-
-    def gain(x: float) -> float:
-        return closed_form_general(f, x).fidelity - x
-
-    lo, hi = 0.5, 1.0
-    if gain(lo) < -1e-15:
-        raise AnalysisError(f"no fixed point bracket in (1/2, 1] for f={f}")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if gain(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a = 4.0 * f * (4.0 * f - 1.0)
+    b = 4.0 * (1.0 - 4.0 * f * f)
+    c = f - 1.0
+    return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
 
 def optimal_rounds(f: float, epsilon: float = EPSILON_DEFAULT) -> int:

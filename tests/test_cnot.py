@@ -137,13 +137,13 @@ def bell_weights(rho):
 
 
 def simulated_fixed_point(f, max_iter=500):
-    # the fixed-point search as a cnot_round loop, the oracle for the map
+    # the limit of a cnot_round loop, the oracle for the map's Perron vector
     stored = quiet_werner(f, labels=("1A", "1B"))
     prev = f
     for _ in range(max_iter):
         res = cnot_round(stored, quiet_werner(f, labels=("2A", "2B")))
         stored = res.post_state
-        if abs(res.fidelity - prev) < 1e-13:
+        if abs(res.fidelity - prev) < 1e-15:
             return res.fidelity
         prev = res.fidelity
     raise AssertionError(f"no convergence for f={f}")

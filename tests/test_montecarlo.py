@@ -20,6 +20,7 @@ from xypurify.montecarlo import (
     MAX_EXPECTED_ATTEMPTS,
     RESTORE_EXTRA_DEFAULT,
 )
+from xypurify.pumping import MAX_ROUNDS
 
 
 def config(**kw):
@@ -40,10 +41,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError) as err:
             ProtocolConfig(f=0.75, target_fidelity=limit + 1e-6, seed=1)
         assert f"{limit:.6f}"[:6] in str(err.value)
-        # below the bisected fixed point (0.6950810809207724) but above the
-        # value the floating-point recurrence settles at (0.6950810809204822)
+        # at f = 0.55 the floating-point recurrence settles a few ulps below
+        # the closed-form fixed point; a target between the two is rejected
+        x = settled = 0.55
+        for _ in range(MAX_ROUNDS):
+            x = closed_form_general(0.55, x).fidelity
+            settled = max(settled, x)
+        target = np.nextafter(settled, 1.0)
+        assert target < fixed_point(0.55)
         with pytest.raises(ConfigurationError, match="does not reach it"):
-            ProtocolConfig(f=0.6, target_fidelity=0.6950810809206, seed=1)
+            ProtocolConfig(f=0.55, target_fidelity=target, seed=1)
 
     @pytest.mark.parametrize("kwargs", [
         {"target_rounds": 4, "p_inconclusive": 0.999999},

@@ -166,6 +166,11 @@ class TestFixedPoint:
         # f = 0.7 lands on exactly 5/6
         assert fixed_point(0.7) == pytest.approx(5.0 / 6.0, abs=1e-11)
 
+    def test_root_is_stationary_to_rounding(self):
+        for f in np.linspace(0.5, 1.0, 101):
+            x = fixed_point(f)
+            assert abs(closed_form_general(f, x).fidelity - x) <= 4e-16
+
     def test_pump_converges_to_it(self):
         trace = pump(0.75, 20)
         assert trace.fixed_point - trace.fidelities[-1] < 1e-6
