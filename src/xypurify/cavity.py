@@ -12,16 +12,25 @@ exchange Hamiltonian of :mod:`xypurify.xy` in the protocol code.
 Internally hbar = 1, times are measured in 1/g0 and lengths in w, so a
 geometry is fully specified by the dimensionless ratios Delta/g0,
 ell/w, d/w and the velocity in units of w*g0.
+
+The module needs numpy only.  Both dynamics are integrated by
+:func:`_dop853`, the Dormand-Prince 8(5,3) pair with the initial step,
+error norm and step control of scipy's ``solve_ivp(method="DOP853")``
+written out operation for operation: it makes the same floating-point
+operations in the same order, so its steps and states equal
+``solve_ivp``'s bit for bit, and the tests check that against scipy.
+The transit integrals use Gauss-Legendre quadrature, and the constant
+models' propagators the eigendecomposition of their real symmetric
+generators.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.linalg import expm
 
 from .errors import DomainError, GeometryError, StiffnessError, TruncationError
 
@@ -30,6 +39,138 @@ DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN * w
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
 TAIL_MASS_MAX = 1e-8
+
+# Dormand & Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, Sec. II.10), digits as in Hairer's dop853.f: the
+# nodes and stage rows of the 12 stages, the 8th-order weights, and the 5th-
+# and 3rd-order error weights over the 12 stages plus f(t + h), weighted 0
+_DOP_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0])
+_DOP_A = np.zeros((13, 12))  # row 12 holds the weights
+_DOP_A[1, :1] = [5.26001519587677318785587544488e-2]
+_DOP_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_DOP_A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
+_DOP_A[4, [0, 2, 3]] = [
+    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1]
+_DOP_A[5, [0, 3, 4]] = [
+    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1]
+_DOP_A[6, [0, 3, 4, 5]] = [3.7109375e-2, 1.70252211019544039314978060272e-1,
+                           6.02165389804559606850219397283e-2, -1.7578125e-2]
+_DOP_A[7, [0, 3, 4, 5, 6]] = [
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3]
+_DOP_A[8, [0, 3, 4, 5, 6, 7]] = [
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]
+_DOP_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2]
+_DOP_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022]
+_DOP_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1]
+_DOP_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2]
+_DOP_B = _DOP_A[12]
+_DOP_E3 = np.append(_DOP_B, 0.0)
+_DOP_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                        0.220588235294117647058823529412e-1]
+_DOP_E5 = np.zeros(13)
+_DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate y' = fun(t, y) from t_a to t_b with the adaptive DOP853 pair.
+
+    Returns the accepted times and the states at them, shaped like
+    ``solve_ivp``'s ``t`` and ``y``.  The initial step, the error norm and
+    the step control are those of ``scipy.integrate.solve_ivp(method=
+    "DOP853")``, written operation for operation, so the steps and states
+    are the same floats it produces.  Raises :class:`StiffnessError` where
+    it reports failure: the step falling below 10 ulp of t.
+    """
+    if t_a == t_b:
+        raise DomainError("integration window must have nonzero length")
+    t, y = float(t_a), y0
+    direction = 1.0 if t_b > t_a else -1.0
+    f = fun(t, y)
+    # initial step as Hairer, Norsett & Wanner II.4, for error order 7
+    interval = abs(t_b - t)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    d2 = _rms((fun(t + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 8))
+    h_abs = min(100 * h0, h1, interval)
+
+    k = np.empty((13, y.size))
+    ts, ys = [t], [y]
+    while direction * (t - t_b) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(
+                    f"adaptive integrator failed at t = {t:.6g}: the step size "
+                    "it needs is below 10 ulp of t")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_b) > 0:
+                t_new = t_b
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = f
+            for s in range(1, 12):
+                k[s] = fun(t + _DOP_C[s] * h, y + np.dot(k[:s].T, _DOP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:12].T, _DOP_B)
+            k[12] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            # the 5th-order estimate, damped where the 3rd-order one is larger
+            err5 = np.linalg.norm(np.dot(k.T, _DOP_E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(k.T, _DOP_E3) / scale) ** 2
+            error_norm = (0.0 if err5 == 0 and err3 == 0 else
+                          np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * y.size))
+            # step factor 0.9 * error_norm^(-1/8) (error order 7), within [0.2, 10]
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    ts = np.array(ts)  # before the states are stacked, as solve_ivp does
+    return ts, np.vstack(ys).T
 
 
 @dataclass(frozen=True)
@@ -120,13 +261,32 @@ def _coupling_vector(geom: CavityGeometry, t: float) -> np.ndarray:
     ])
 
 
-def peak_collective_coupling(geom: CavityGeometry) -> float:
-    """max over 2001 window samples of the collective coupling sqrt(sum g_k^2)."""
-    t_a, t_b = geom.window()
-    ts = np.linspace(t_a, t_b, 2001)
+def _coupling_samples(geom: CavityGeometry, ts: np.ndarray) -> np.ndarray:
+    """Couplings of atoms 1, 2 and 3 (rows) at the times ts (columns)."""
     z1, z2 = geom.z0
     g1 = geom.g0 * np.exp(-((z1 + geom.v * ts) / geom.w) ** 2)
     g2 = geom.g0 * np.exp(-((z2 + geom.v * ts) / geom.w) ** 2)
+    return np.array([g1, g2, np.full_like(ts, geom.g_trapped)])
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """100 Gauss-Legendre nodes and weights on [-1, 1], computed on first use.
+
+    Over the window they give the transit integrals to within a few ulp of
+    adaptive quadrature; 200 nodes round worse.  Read-only: every caller
+    shares them.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(100)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def peak_collective_coupling(geom: CavityGeometry) -> float:
+    """max over 2001 window samples of the collective coupling sqrt(sum g_k^2)."""
+    t_a, t_b = geom.window()
+    g1, g2, _ = _coupling_samples(geom, np.linspace(t_a, t_b, 2001))
     return float(np.sqrt(g1 ** 2 + g2 ** 2 + geom.g_trapped ** 2).max())
 
 
@@ -184,18 +344,17 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray,
                          g @ y[5:8] + delta * r0, -g1 * i0, -g2 * i0, -g3 * i0))
 
     y0 = np.concatenate([c_init.real, c_init.imag])
-    sol = solve_ivp(rhs, (t_a, t_b), y0, method="DOP853",
-                    rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
-    if not sol.success:
+    try:
+        times, y = _dop853(rhs, t_a, t_b, y0, INTEGRATOR_RTOL, INTEGRATOR_ATOL)
+    except StiffnessError as err:
         raise StiffnessError(
-            "adaptive integrator failed; |delta| is probably too large for the "
-            f"tolerance (|delta|/g0 = {abs(delta) / geom.g0:.3g}). Reduce the "
-            "detuning ratio, shorten the window, or relax the tolerance. "
-            f"Solver message: {sol.message}")
-    c = sol.y[:4] + 1j * sol.y[4:]
+            f"{err}; |delta| is probably too large for the tolerance "
+            f"(|delta|/g0 = {abs(delta) / geom.g0:.3g}). Reduce the detuning "
+            "ratio, shorten the window, or relax the tolerance.") from None
+    c = y[:4] + 1j * y[4:]
     norms = np.linalg.norm(c, axis=0)
     return Trajectory(
-        times=sol.t,
+        times=times,
         amplitudes=c.T,
         max_photon_population=float(np.max(np.abs(c[0]) ** 2)),
         norm_drift=float(np.max(np.abs(norms - 1.0))),
@@ -227,14 +386,11 @@ def integrate_effective(geom: CavityGeometry, initial: np.ndarray,
         return np.concatenate([g * s_im * inv_delta, -g * s_re * inv_delta])
 
     y0 = np.concatenate([c_init.real, c_init.imag])
-    sol = solve_ivp(rhs, (t_a, t_b), y0, method="DOP853",
-                    rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
-    if not sol.success:
-        raise StiffnessError(f"effective-dynamics integration failed: {sol.message}")
-    c = sol.y[:3] + 1j * sol.y[3:]
+    times, y = _dop853(rhs, t_a, t_b, y0, INTEGRATOR_RTOL, INTEGRATOR_ATOL)
+    c = y[:3] + 1j * y[3:]
     norms = np.linalg.norm(c, axis=0)
     return Trajectory(
-        times=sol.t,
+        times=times,
         amplitudes=c.T,
         max_photon_population=0.0,
         norm_drift=float(np.max(np.abs(norms - 1.0))),
@@ -302,14 +458,12 @@ def asymptotic_hamiltonian(geom: CavityGeometry,
 
     prefactor = geom.g0 ** 2 * math.exp(-(geom.ell / geom.w) ** 2) / geom.delta
     tp = geom.t_prime
-    numeric = np.zeros((3, 3))
-    for i in range(3):
-        for k in range(i + 1, 3):
-            val, _ = quad(
-                lambda t, i=i, k=k: (_coupling_vector(geom, t)[i]
-                                     * _coupling_vector(geom, t)[k]),
-                t_a, t_b, limit=200)
-            numeric[i, k] = numeric[k, i] = val / geom.delta
+    # Gauss-Legendre over the whole window; only the off-diagonal entries
+    # are used
+    nodes, weights = _gauss_legendre()
+    mid, half = 0.5 * (t_a + t_b), 0.5 * (t_b - t_a)
+    g = _coupling_samples(geom, mid + half * nodes)
+    numeric = half * ((g * weights) @ g.T) / geom.delta
 
     c_closed = np.ones((3, 3)) - np.eye(3)
     c_closed[0, 1] = c_closed[1, 0] = _c12_closed_form(geom)
@@ -376,9 +530,15 @@ _C3 = np.array([1.0, 0.0, 0.0], dtype=complex)
 _C4 = np.concatenate(([0.0 + 0j], _C3))
 
 
+def _propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for a real symmetric h, from its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.T
+
+
 def _mean_endpoint(geom: CavityGeometry) -> np.ndarray:
     """Atomic amplitudes after one transit of the constant mean-coupling model."""
-    return expm(-1j * _mean_hamiltonian_3(geom) * geom.t_prime) @ _C3
+    return _propagator(_mean_hamiltonian_3(geom), geom.t_prime) @ _C3
 
 
 def xy_agreement(geom: CavityGeometry, *,
@@ -399,7 +559,7 @@ def xy_agreement(geom: CavityGeometry, *,
     tp = geom.t_prime
 
     mean_end = _mean_endpoint(geom)
-    u_xy = expm(-1j * _ring_exchange_3(geom) * tp)
+    u_xy = _propagator(_ring_exchange_3(geom), tp)
     # single-excitation sector: the level-shift correction is the scalar
     # phase exp(-i J t')
     corrected_xy_end = np.exp(-1j * geom.j_effective * tp) * (u_xy @ _C3)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import click
 import numpy as np
 
-from . import cnot, montecarlo, pumping, rounds
+from . import cavity, cnot, montecarlo, pumping, rounds
 from .errors import XyPurifyError
 from .states import werner
 
@@ -223,7 +223,6 @@ def cmd_validate_cavity(delta: float, ell: float, v: float,
                         dump_trajectory: str | None,
                         output: str | None) -> None:
     """Check the microscopic-to-ring-exchange reduction for one geometry."""
-    from . import cavity  # the only command that needs scipy
     d = d_override if d_override is not None else cavity.solve_geometry(ell, 1.0)
     geom = cavity.CavityGeometry(g0=1.0, w=1.0, ell=ell, d=d, v=v, delta=delta)
     if not geom.adiabatic and not force:

@@ -118,6 +118,20 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
         raise DomainError(f"pumping needs f in (0.5, 1], got {f}")
     if n < 1:
         raise DomainError(f"need at least one round, got n={n}")
+    rounds = _scheme_c_rounds(f, n)
+    xstar = _scheme_c_fixed_point(f)
+    return PumpTrace(
+        f=f,
+        rounds=rounds,
+        f_hat=rounds[-1].fidelity - f,
+        fixed_point=xstar,
+        n_optimal=_rounds_within(_bell_rounds(_dejmps_map(f), f), f, xstar,
+                                 EPSILON_DEFAULT),
+    )
+
+
+def _scheme_c_rounds(f: float, n: int) -> tuple[PumpRound, ...]:
+    """The first n rounds of :func:`scheme_c_pump`, each a :func:`cnot_round`."""
     stored = werner(f, labels=_SOURCE)
     target = werner(f)
     rounds: list[PumpRound] = []
@@ -129,15 +143,7 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
                                 delta=res.fidelity - current,
                                 success_probability=res.success_probability))
         current = res.fidelity
-    xstar = _scheme_c_fixed_point(f)
-    return PumpTrace(
-        f=f,
-        rounds=tuple(rounds),
-        f_hat=current - f,
-        fixed_point=xstar,
-        n_optimal=_rounds_within(_bell_rounds(_dejmps_map(f), f), f, xstar,
-                                 EPSILON_DEFAULT),
-    )
+    return tuple(rounds)
 
 
 def _dejmps_map(f: float) -> np.ndarray:
@@ -190,7 +196,7 @@ def comparison_table(f_grid: Iterable[float]) -> list[ComparisonRow]:
             raise DomainError(f"grid value {f} outside (0.5, 1)")
         xy = closed_form_general(f, f).fidelity
         base = closed_form_cnot(f)
-        two = scheme_c_pump(f, 2).rounds[-1].fidelity
+        two = _scheme_c_rounds(f, 2)[-1].fidelity
         if xy <= base:
             raise AnalysisError(
                 f"ring-exchange round does not dominate baseline at f={f}")

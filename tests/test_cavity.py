@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
 from xypurify import (
     CavityGeometry,
     DomainError,
     GeometryError,
+    StiffnessError,
     TruncationError,
     asymptotic_hamiltonian,
     convergence_study,
@@ -18,7 +20,12 @@ from xypurify import (
     solve_geometry,
     xy_agreement,
 )
+from xypurify import cavity
 from xypurify.cavity import (
+    _dop853,
+    _mean_hamiltonian_3,
+    _propagator,
+    _ring_exchange_3,
     effective_generator,
     distance_mod_phase,
     peak_collective_coupling,
@@ -174,20 +181,16 @@ class TestEffectiveIntegration:
 
     def test_frozen_couplings_reduce_to_matrix_exponential(self):
         geom = default_geom()
-        t_mid = 0.5 * sum(geom.window())
-        m = effective_generator(geom, t_mid)
+        m = effective_generator(geom, 0.5 * sum(geom.window()))
         dt = 0.37
-        u = expm(-1j * m * dt)
-        # integrate with couplings pinned at t_mid by a zero-length window
-        # equivalent: evolve the ODE with constant generator manually
-        from scipy.integrate import solve_ivp
-        sol = solve_ivp(lambda t, y: np.concatenate([
-            (-1j * m @ (y[:3] + 1j * y[3:])).real,
-            (-1j * m @ (y[:3] + 1j * y[3:])).imag]),
-            (0, dt), np.concatenate([C3.real, C3.imag]),
-            method="DOP853", rtol=1e-12, atol=1e-14)
-        got = sol.y[:3, -1] + 1j * sol.y[3:, -1]
-        np.testing.assert_allclose(got, u @ C3, atol=1e-10)
+
+        def rhs(t, y):  # y = (Re c, Im c), c' = -i m c
+            dc = -1j * (m @ (y[:3] + 1j * y[3:]))
+            return np.concatenate([dc.real, dc.imag])
+
+        _, y = _dop853(rhs, 0.0, dt, np.concatenate([C3.real, C3.imag]), 1e-12, 1e-14)
+        got = y[:3, -1] + 1j * y[3:, -1]
+        np.testing.assert_allclose(got, expm(-1j * m * dt) @ C3, atol=1e-10)
 
     def test_norm_preserved(self):
         traj = integrate_effective(default_geom(), C3)
@@ -260,3 +263,58 @@ class TestAgreement:
     def test_distance_mod_phase(self):
         a = np.array([1.0, 0.0], dtype=complex)
         assert distance_mod_phase(a, np.exp(1j * 0.7) * a) < 1e-12
+
+
+class TestScipyReference:
+    """The numpy integrator, quadrature and propagator against scipy's."""
+
+    @pytest.mark.parametrize("delta", [20.0, -20.0, 50.0, -50.0, 100.0, -100.0])
+    @pytest.mark.parametrize("integrate, initial", [(integrate_full, C4),
+                                                    (integrate_effective, C3)])
+    def test_dop853_steps_equal_solve_ivp(self, monkeypatch, integrate, initial, delta):
+        calls = []
+
+        def spy(*args):
+            calls.append((args, _dop853(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cavity, "_dop853", spy)
+        integrate(default_geom(delta=delta), initial)
+        [((fun, t_a, t_b, y0, rtol, atol), (times, states))] = calls
+        sol = solve_ivp(fun, (t_a, t_b), y0, method="DOP853", rtol=rtol, atol=atol)
+        assert sol.success
+        assert np.array_equal(times, sol.t)
+        assert np.array_equal(states, sol.y)
+
+    def test_blow_up_raises_where_solve_ivp_fails(self):
+        # y' = y^2, y(0) = 1 reaches infinity at t = 1
+        sol = solve_ivp(lambda t, y: y ** 2, (0.0, 2.0), [1.0], method="DOP853",
+                        rtol=1e-10, atol=1e-12)
+        assert not sol.success
+        with pytest.raises(StiffnessError, match="t = 1:"):
+            _dop853(lambda t, y: y ** 2, 0.0, 2.0, np.array([1.0]), 1e-10, 1e-12)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(DomainError):
+            _dop853(lambda t, y: y, 1.0, 1.0, np.array([1.0]), 1e-10, 1e-12)
+
+    def test_gauss_legendre_matches_quad(self):
+        rng = np.random.default_rng(29)
+        for _ in range(18):
+            geom = CavityGeometry(g0=1.0, w=1.0, ell=rng.uniform(0.6, 2.0),
+                                  d=rng.uniform(0.3, 2.5), v=rng.uniform(0.2, 1.5),
+                                  delta=rng.choice([-1.0, 1.0]) * rng.uniform(25.0, 80.0))
+            c = asymptotic_hamiltonian(geom).c_matrix
+            t_a, t_b = geom.window()
+            scale = geom.g0 ** 2 * math.exp(-(geom.ell / geom.w) ** 2) * geom.t_prime
+            for i, k in ((1, 2), (1, 3), (2, 3)):
+                val, _ = quad(lambda t: coupling(geom, i, t) * coupling(geom, k, t),
+                              t_a, t_b, limit=200)
+                assert c[i - 1, k - 1] == pytest.approx(val / scale, rel=1e-14, abs=0)
+
+    def test_eigh_propagator_matches_expm(self):
+        for delta in (20.0, -50.0, 100.0):
+            geom = default_geom(delta=delta)
+            for h in (_mean_hamiltonian_3(geom), _ring_exchange_3(geom)):
+                np.testing.assert_allclose(_propagator(h, geom.t_prime),
+                                           expm(-1j * h * geom.t_prime), rtol=0, atol=1e-14)

@@ -1,8 +1,8 @@
-"""Import costs and the lazy cavity names, checked in fresh interpreters.
+"""Import costs, checked in fresh interpreters.
 
-The other test modules import ``xypurify.cavity`` (and with it scipy)
-before any test runs, so only a new interpreter shows what a plain
-``import xypurify`` or a non-cavity command loads.
+The other test modules import scipy (the reference the cavity tests
+compare against) before any test runs, so only a new interpreter shows
+what a plain ``import xypurify`` or a command loads.
 """
 import json
 import os
@@ -33,26 +33,24 @@ def cold_ok(*args):
 
 
 @pytest.mark.parametrize("module", ["xypurify", "xypurify.cli",
-                                    "xypurify.montecarlo"])
+                                    "xypurify.montecarlo", "xypurify.cavity"])
 def test_import_leaves_scipy_and_process_pool_out(module):
     result = cold_ok("-c", f"import sys, {module}; "
                      f"print(*(m for m in {HEAVY!r} if m in sys.modules))")
     assert result.stdout.split() == []
 
 
-def test_cavity_names_resolve_lazily():
+def test_cavity_names_are_bound_without_scipy():
     script = (
         "import json, sys, xypurify\n"
-        "before = 'scipy' in sys.modules\n"
         "listed = dir(xypurify)\n"
         f"names = {CAVITY_NAMES!r}\n"
         "same = [getattr(xypurify, n) is getattr(xypurify.cavity, n) for n in names]\n"
-        "print(json.dumps({'before': before, 'after': 'scipy' in sys.modules,\n"
-        "                  'listed': listed, 'same': same}))\n"
+        "print(json.dumps({'scipy': 'scipy' in sys.modules, 'listed': listed,\n"
+        "                  'same': same}))\n"
     )
     report = json.loads(cold_ok("-c", script).stdout)
-    assert report["before"] is False
-    assert report["after"] is True
+    assert report["scipy"] is False
     assert report["same"] == [True] * len(CAVITY_NAMES)
     assert set(CAVITY_NAMES) | {"cavity"} <= set(report["listed"])
 
@@ -63,8 +61,16 @@ def test_unknown_attribute_raises():
 
 
 def test_validate_cavity_runs_cold():
-    result = cold_ok("-m", "xypurify.cli", "validate-cavity",
-                     "--delta", "50", "--ell", "1.0")
+    # the command exits through SystemExit; the exit hook reports what it loaded
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*(m for m in %r if m in sys.modules),\n"
+        "                              file=sys.stderr))\n"
+        "sys.argv = ['xypurify', 'validate-cavity', '--delta', '50', '--ell', '1.0']\n"
+        "runpy.run_module('xypurify.cli', run_name='__main__')\n" % (HEAVY,)
+    )
+    result = cold_ok("-c", script)
+    assert result.stderr.split() == []
     payload = json.loads(result.stdout)
     assert payload["geometry"]["delta_over_g0"] == 50.0
     assert payload["agreement"]["distance_full_mean"] > 0
