@@ -34,10 +34,8 @@ from .errors import (
     LabelError,
     NegativeDurationError,
     ShapeError,
-    SingularExpressionError,
     StateValidationError,
     StiffnessError,
-    TruncationError,
     XyPurifyError,
     ZeroProbabilityError,
 )

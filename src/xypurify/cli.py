@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import cavity, cnot, montecarlo, pumping, rounds
-from .errors import XyPurifyError
+from .errors import DomainError, XyPurifyError
 from .states import werner
 
 CONFIG_SCHEMA_VERSION = 1
@@ -148,6 +148,8 @@ def cmd_round(f: float, fprime: float, jt0: float | None, at_t: bool,
 def _float_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     if steps < 2:
         raise click.UsageError("grid needs at least 2 steps")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got {lo} and {hi}")
     return np.linspace(lo, hi, steps)
 
 

@@ -47,16 +47,8 @@ class ZeroProbabilityError(XyPurifyError, ArithmeticError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
-class SingularExpressionError(XyPurifyError, ArithmeticError):
-    """Closed-form denominator vanished; outside the physical domain."""
-
-
 class StiffnessError(XyPurifyError, RuntimeError):
     """Adaptive integrator failed; detuning too large for the tolerance."""
-
-
-class TruncationError(XyPurifyError, RuntimeError):
-    """Integration window cuts off a non-negligible coupling tail."""
 
 
 class AnalysisError(XyPurifyError, RuntimeError):

@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (DomainError, NegativeDurationError, ShapeError,
-                     SingularExpressionError, ZeroProbabilityError)
+                     ZeroProbabilityError)
 from .states import (
     DensityMatrix,
     _werner_matrix,
@@ -136,34 +136,51 @@ def run_round(inp: RoundInput,
     )
 
 
+def _cosines(t0: float, j: float) -> tuple[float, float]:
+    """cos(6 J t0) and cos(12 J t0), for a finite phase 12 J t0 only."""
+    if not math.isfinite(12.0 * j * t0):
+        raise DomainError(f"evolution time J t0 must be finite, got t0={t0}, J={j}")
+    return math.cos(6.0 * j * t0), math.cos(12.0 * j * t0)
+
+
 def closed_form_fidelity(t0: float, f: float, j: float = 1.0) -> float:
     """Analytic post-selected fidelity for Werner inputs with f' = f.
 
     Rational-trigonometric in cos(6 J t0) and cos(12 J t0); equals f at
     t0 = 0 and peaks at the operational time.
+
+    With c = cos(6 J t0) and cos(12 J t0) = 2c^2 - 1 the denominator is
+    -8 (4f - 1)(2f + 1) c^2 + 16 (4f - 1)(f - 1) c + 42 f - 51, which lies
+    in [-81, -9] on f in [0,1], c in [-1,1] and so needs no singularity
+    check.  For f >= 1/4, maximising over |c| bounds it by
+    8 (4f - 1)(1 - f)^2 / (2f + 1) - 42 (1 - f) - 9 <= -9 - 26 (1 - f),
+    as 4f - 1 < 2 (2f + 1) and (1 - f)^2 <= 1 - f; -9 is reached only at
+    f = 1, c = 0.  For f < 1/4 the c terms add at most 12 + 16 to
+    42 f - 51 < -40.5.  From below, f >= 1/4 gives -24 (4f - 1) + 42 f
+    - 51 >= -81 (at f = 1, c = +-1) and f < 1/4 gives -16 - 51.
+    Non-finite times raise :class:`DomainError`.
     """
     if not 0.0 <= f <= 1.0:
         raise DomainError(f"fidelity must lie in [0,1], got {f}")
-    c6 = math.cos(6.0 * j * t0)
-    c12 = math.cos(12.0 * j * t0)
+    c6, c12 = _cosines(t0, j)
     num = (f - 38.0 * f * f - 8.0
            + 8.0 * (1.0 - 5.0 * f + 4.0 * f * f) * c6
            - 12.0 * f * (4.0 * f - 1.0) * c12)
     den = (34.0 * f - 32.0 * f * f - 47.0
            + 16.0 * (1.0 - 5.0 * f + 4.0 * f * f) * c6
            - 4.0 * (2.0 * f + 8.0 * f * f - 1.0) * c12)
-    if abs(den) < 1e-12:
-        raise SingularExpressionError(
-            f"fidelity denominator vanished at t0={t0}, f={f}")
     return num / den
 
 
 def closed_form_success(t0: float, f: float, j: float = 1.0) -> float:
-    """Analytic single-outcome success probability for f' = f."""
+    """Analytic single-outcome success probability for f' = f.
+
+    It is -(1 + 2f) / 972 times the denominator of
+    :func:`closed_form_fidelity`, so it is at least 9 (1 + 2f) / 972.
+    """
     if not 0.0 <= f <= 1.0:
         raise DomainError(f"fidelity must lie in [0,1], got {f}")
-    c6 = math.cos(6.0 * j * t0)
-    c12 = math.cos(12.0 * j * t0)
+    c6, c12 = _cosines(t0, j)
     return (1.0 + 2.0 * f) * (
         47.0 - 34.0 * f + 32.0 * f * f
         - 16.0 * (1.0 - 5.0 * f + 4.0 * f * f) * c6
@@ -235,6 +252,8 @@ def restore(state: DensityMatrix, elapsed: float, j: float,
         raise ShapeError("restore acts on the full six-qubit state")
     if j == 0:
         raise DomainError("coupling J must be nonzero")
+    if not math.isfinite(elapsed):
+        raise DomainError(f"elapsed time must be finite, got {elapsed}")
     period = math.pi / abs(j)
     if m is None:
         m = max(1, math.ceil(elapsed / period - 1e-12))

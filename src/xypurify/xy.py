@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCouplingError, ShapeError
+from .errors import DegenerateCouplingError, DomainError, ShapeError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -91,7 +91,7 @@ class EvolutionOperator:
 def evolve_triplet(h: XYHamiltonian, t: float) -> EvolutionOperator:
     """exp(-i H t) for one triplet via Hermitian eigendecomposition."""
     if not np.isfinite(t):
-        raise ShapeError(f"evolution time must be finite, got {t}")
+        raise DomainError(f"evolution time must be finite, got {t}")
     w, v = np.linalg.eigh(h.matrix)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return EvolutionOperator(t, u)

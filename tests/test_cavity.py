@@ -11,7 +11,6 @@ from xypurify import (
     DomainError,
     GeometryError,
     StiffnessError,
-    TruncationError,
     asymptotic_hamiltonian,
     convergence_study,
     coupling,
@@ -47,6 +46,15 @@ class TestGeometry:
             CavityGeometry(g0=0.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=50.0)
         with pytest.raises(GeometryError):
             CavityGeometry(g0=1.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=0.0)
+        # the integrator needs finite couplings and a finite, nonempty window
+        fields = dict(g0=1.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=50.0)
+        for name in fields:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(GeometryError):
+                    CavityGeometry(**{**fields, name: bad})
+        for w, v in ((1.0, 1e-320), (1e-320, 1e10), (1e308, 0.5)):
+            with pytest.raises(GeometryError):
+                CavityGeometry(**{**fields, "w": w, "d": 0.0, "v": v})
 
     def test_adiabatic_flag(self):
         assert default_geom(delta=50.0).adiabatic
@@ -126,11 +134,23 @@ class TestAsymptoticCouplings:
         res = asymptotic_hamiltonian(geom)
         assert res.c_matrix[0, 1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
-    def test_narrow_window_rejected(self):
-        geom = default_geom()
-        t_a, t_b = geom.window()
-        with pytest.raises(TruncationError):
-            asymptotic_hamiltonian(geom, window=(t_a, 0.6 * t_b))
+    def test_window_reach_is_default_span(self):
+        # the proof in asymptotic_hamiltonian's docstring: each conveyed atom
+        # crosses the waist inside the window and is DEFAULT_SPAN waists from
+        # it at the nearer edge, so the clipped tails are below erfc(5)
+        assert math.erfc(cavity.DEFAULT_SPAN) < 1e-11
+        for w in (0.05, 0.7, 1.0, 3.3, 40.0):
+            for v in (0.01, 0.25, 1.0, 7.5):
+                for d in (0.0, 0.3 * w, w, 4.2 * w):
+                    geom = CavityGeometry(g0=1.0, w=w, ell=w, d=d, v=v, delta=50.0)
+                    t_a, t_b = geom.window()
+                    assert t_a < t_b
+                    reach = math.inf
+                    for z in geom.z0:
+                        za, zb = z + v * t_a, z + v * t_b
+                        assert za < 0.0 < zb
+                        reach = min(reach, abs(za) / w, abs(zb) / w)
+                    assert reach == pytest.approx(cavity.DEFAULT_SPAN, abs=1e-12)
 
     def test_t_prime(self):
         geom = default_geom(v=0.5)
@@ -167,8 +187,9 @@ class TestFullIntegration:
         np.testing.assert_allclose(end_m, end_p.conj(), atol=1e-8)
 
     def test_initial_state_validation(self):
-        with pytest.raises(DomainError):
-            integrate_full(default_geom(), np.array([1.0, 1.0, 0.0, 0.0]))
+        for bad in ([1.0, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
+            with pytest.raises(DomainError):
+                integrate_full(default_geom(), np.array(bad))
 
 
 class TestEffectiveIntegration:
@@ -256,7 +277,8 @@ class TestAgreement:
         other_start = integrate_full(geom, np.array([0.0, 0.0, 1.0, 0.0], dtype=complex))
         with pytest.raises(DomainError):
             xy_agreement(geom, full=other_start)
-        short = integrate_full(geom, C4, window=(0.0, 1.0))
+        full = integrate_full(geom, C4)
+        short = replace(full, times=full.times[:-1], amplitudes=full.amplitudes[:-1])
         with pytest.raises(DomainError):
             xy_agreement(geom, full=short)
 
@@ -293,10 +315,6 @@ class TestScipyReference:
         assert not sol.success
         with pytest.raises(StiffnessError, match="t = 1:"):
             _dop853(lambda t, y: y ** 2, 0.0, 2.0, np.array([1.0]), 1e-10, 1e-12)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(DomainError):
-            _dop853(lambda t, y: y, 1.0, 1.0, np.array([1.0]), 1e-10, 1e-12)
 
     def test_gauss_legendre_matches_quad(self):
         rng = np.random.default_rng(29)

@@ -80,6 +80,14 @@ class TestFig5Command:
             _, xy, base, _ = map(float, ln.split(","))
             assert xy > base
 
+    @pytest.mark.parametrize("f_min, f_max", [(0.5 + 2.0 ** -51, 1.0 - 2.0 ** -51),
+                                              (0.5 + 2.0 ** -53, 1.0 - 2.0 ** -52)])
+    def test_panel_b_grid_next_to_half_and_one(self, runner, tmp_path, f_min, f_max):
+        out = tmp_path / "b.csv"
+        run_ok(runner, ["fig5", "--panel", "b", "--f-min", repr(f_min),
+                        "--f-max", repr(f_max), "--f-steps", "3", "--output", str(out)])
+        assert len(out.read_text().strip().splitlines()) == 4
+
     def test_panel_c_perfect_corner(self, runner, tmp_path):
         out = tmp_path / "c.csv"
         run_ok(runner, ["fig5", "--panel", "c", "--f-min", "0.6", "--f-max",
@@ -142,8 +150,12 @@ class TestCsvOutput:
 
     @pytest.mark.parametrize("args", [["fig5", "--panel", "c", "--f-min", "1.2",
                                        "--f-max", "1.3"],
-                                      ["fig6", "--f-min", "0.4"]],
-                             ids=["fig5-c", "fig6"])
+                                      ["fig6", "--f-min", "0.4"],
+                                      ["fig5", "--panel", "a", "--jt-max", "nan",
+                                       "--jt-steps", "3"],
+                                      ["fig5", "--panel", "a", "--jt-max", "inf",
+                                       "--jt-steps", "3"]],
+                             ids=["fig5-c", "fig6", "fig5-a-nan", "fig5-a-inf"])
     def test_domain_error_leaves_no_file(self, runner, tmp_path, args):
         out = tmp_path / "table.csv"
         result = runner.invoke(main, args + ["--output", str(out)])

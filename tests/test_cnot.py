@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,41 @@ class TestComparisonTable:
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             comparison_table([1.0])
+
+    @staticmethod
+    def dominance(f):
+        """comparison_table's docstring: xy - cnot in factored form."""
+        return (21 * (1 - f) * (2 * f - 1) * (2 * f + 1) * (4 * f - 1)
+                / ((8 * f * f - 4 * f + 5) * (128 * f * f - 106 * f + 59)))
+
+    def test_dominance_factorization_exact(self):
+        # cross-multiplied, both sides are polynomials of degree 9, so
+        # agreement at 21 points proves the identity; the closed forms are
+        # written out in exact arithmetic
+        for k in range(21):
+            f = Fraction(k, 20)
+            xy = ((f * (12 * f + 236 * f * f - 5) - 16 * (f - 1))
+                  / (59 + (12 - 64 * f) * f - 4 * (5 - 64 * f) * f * f))
+            cnot = (1 - 2 * f + 10 * f * f) / (5 - 4 * f + 8 * f * f)
+            assert xy - cnot == self.dominance(f)
+
+    def test_dominance_factorization_float(self):
+        for f in np.linspace(0.5, 1.0, 201):
+            diff = closed_form_general(f, f).fidelity - closed_form_cnot(f)
+            assert diff == pytest.approx(self.dominance(f), abs=1e-15)
+            if 0.5 < f < 1.0:
+                assert self.dominance(f) > 0
+
+    def test_grid_endpoints_next_to_half_and_one(self):
+        # the two rounds agree to the last bits here; the table still
+        # returns rows, since dominance is a theorem and not a check
+        fs = [0.5 + 2.0 ** -51, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -51, 1.0 - 2.0 ** -52]
+        rows = comparison_table(fs)
+        assert [row.f for row in rows] == fs
+        for row in rows:
+            assert row.xy_one_round == closed_form_general(row.f, row.f).fidelity
+            assert row.cnot_one_round == closed_form_cnot(row.f)
+            assert abs(row.xy_one_round - row.cnot_one_round) < 1e-15
 
 
 def bell_weights(rho):

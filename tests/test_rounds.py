@@ -94,6 +94,35 @@ class TestClosedForms:
         p = closed_form_general(f, fprime).success_probability
         assert 972.0 * p >= 51.0 - 1e-12
 
+    def test_fidelity_denominator_bound(self):
+        # closed_form_fidelity's docstring: with c = cos(6 J t0) its
+        # denominator is -8 (4f-1)(2f+1) c^2 + 16 (4f-1)(f-1) c + 42 f - 51
+        # and lies in [-81, -9], the maximum at f = 1, c = 0; it is
+        # -972 P / (1 + 2f) with P = closed_form_success.  The grid holds
+        # f = 0 and 1 and J t0 = pi/12, where c = 0.
+        fs = np.linspace(0.0, 1.0, 101)
+        jts = np.append(np.linspace(0.0, np.pi / 3, 241), np.pi / 12)
+        dens = []
+        for f in fs:
+            for jt in jts:
+                den = -972.0 * closed_form_success(jt, f) / (1.0 + 2.0 * f)
+                c = np.cos(6.0 * jt)
+                assert den == pytest.approx(
+                    -8 * (4 * f - 1) * (2 * f + 1) * c * c
+                    + 16 * (4 * f - 1) * (f - 1) * c + 42 * f - 51, abs=1e-12)
+                dens.append(den)
+        assert max(dens) <= -9.0 + 1e-12
+        assert min(dens) >= -81.0 - 1e-12
+        assert max(dens) == pytest.approx(-9.0, abs=1e-12)
+        assert min(dens) == pytest.approx(-81.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t0, j", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                       (1.0, np.nan), (1.0, np.inf), (1e308, 1.0)])
+    def test_non_finite_time_rejected(self, t0, j):
+        for closed_form in (closed_form_fidelity, closed_form_success):
+            with pytest.raises(DomainError):
+                closed_form(t0, 0.75, j)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             closed_form_fidelity(T, 1.5)
@@ -296,6 +325,12 @@ class TestRestore:
         original, evolved = self.evolved_composite(rng, elapsed)
         restored = restore(evolved, elapsed=elapsed, j=1.0)
         np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
+
+    @pytest.mark.parametrize("elapsed", [np.nan, np.inf, -np.inf])
+    def test_non_finite_elapsed_rejected(self, elapsed):
+        _, evolved = self.evolved_composite(np.random.default_rng(9), T)
+        with pytest.raises(DomainError):
+            restore(evolved, elapsed=elapsed, j=1.0)
 
     def test_negative_duration(self):
         rng = np.random.default_rng(8)

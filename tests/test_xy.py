@@ -3,6 +3,7 @@ import pytest
 
 from xypurify import (
     DegenerateCouplingError,
+    DomainError,
     build_xy,
     evolve_composite,
     evolve_triplet,
@@ -104,6 +105,11 @@ class TestEvolution:
             for m in (1, 2, 3):
                 u = evolve_triplet(build_xy(j), m * np.pi / abs(j)).matrix
                 np.testing.assert_allclose(u, np.eye(8), atol=1e-11)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError):
+            evolve_triplet(build_xy(1.0), t)
 
     def test_composite_time_zero(self):
         u = evolve_composite(build_xy(1.0), 0.0)
