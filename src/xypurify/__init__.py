@@ -31,7 +31,6 @@ from .errors import (
     DegenerateCouplingError,
     DomainError,
     GeometryError,
-    LabelError,
     NegativeDurationError,
     ShapeError,
     StateValidationError,
@@ -57,12 +56,10 @@ from .pumping import (
     saturation_table,
 )
 from .rounds import (
-    BellCoefficients,
     OperationalTime,
     RoundFormulas,
     RoundInput,
     RoundResult,
-    bell_coefficients,
     bell_diagonal_map,
     bootstrap_round,
     closed_form_fidelity,
@@ -74,16 +71,11 @@ from .rounds import (
 )
 from .states import (
     BellDecomposition,
-    BellProjector,
     DensityMatrix,
     bell_decompose,
-    bell_projector,
     computational_pair,
     fidelity,
-    partial_trace,
-    permute,
     random_bell_diagonal,
-    tensor,
     werner,
 )
 from .xy import (
@@ -92,7 +84,6 @@ from .xy import (
     build_xy,
     evolve_composite,
     evolve_triplet,
-    number_operator,
 )
 
 __version__ = "0.1.0"

@@ -121,7 +121,7 @@ def cmd_round(f: float, fprime: float, jt0: float | None, at_t: bool,
         raise click.UsageError("specify exactly one of --jt0 / --at-T")
     j = 1.0
     t0 = rounds.operational_time(j, n_index).t if at_t else jt0 / j
-    stationary = werner(fprime, labels=(3, 6))
+    stationary = werner(fprime)
     result = rounds.run_round(rounds.RoundInput(f=f, stationary_state=stationary,
                                                 t0=t0, j=j))
     payload = {

@@ -40,9 +40,6 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 U_PLUS = (_I2 + 1j * _X) / np.sqrt(2.0)
 U_MINUS = (_I2 - 1j * _X) / np.sqrt(2.0)
 
-# qubit order inside the round: (1A, 1B, 2A, 2B); the source is kept
-_SOURCE = ("1A", "1B")
-
 
 def _kron(*ops: np.ndarray) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
@@ -62,6 +59,7 @@ def _cnot(n: int, control: int, target: int) -> np.ndarray:
         m[row, col] = 1.0
     return m
 
+# qubit order inside the round: (1A, 1B, 2A, 2B); the source (1A, 1B) is kept
 _GATE = (_cnot(4, 0, 2) @ _cnot(4, 1, 3)) @ _kron(U_PLUS, U_MINUS, U_PLUS, U_MINUS)
 _GATE.setflags(write=False)
 
@@ -90,9 +88,9 @@ def cnot_round(source: DensityMatrix, target: DensityMatrix) -> CnotRoundResult:
         block = t[:, :, b, b, :, :, b, b].reshape(4, 4)
         p_succ += float(np.real(block.trace()))
         post += block
-    if p_succ < 1e-14:
+    if not p_succ >= 1e-14:
         raise ZeroProbabilityError("both accepted outcomes have zero probability")
-    post_state = DensityMatrix(post / p_succ, _SOURCE)
+    post_state = DensityMatrix(post / p_succ)
     return CnotRoundResult(
         post_state=post_state,
         fidelity=fidelity(post_state),
@@ -132,8 +130,7 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
 
 def _scheme_c_rounds(f: float, n: int) -> tuple[PumpRound, ...]:
     """The first n rounds of :func:`scheme_c_pump`, each a :func:`cnot_round`."""
-    stored = werner(f, labels=_SOURCE)
-    target = werner(f)
+    stored = target = werner(f)
     rounds: list[PumpRound] = []
     current = f
     for k in range(1, n + 1):

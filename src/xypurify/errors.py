@@ -19,10 +19,6 @@ class ShapeError(XyPurifyError, ValueError):
     """Matrix dimension does not match the expected qubit layout."""
 
 
-class LabelError(XyPurifyError, ValueError):
-    """Qubit slot labels collide or are unknown."""
-
-
 class StateValidationError(XyPurifyError, ValueError):
     """Density matrix violates hermiticity, unit trace, or positivity."""
 

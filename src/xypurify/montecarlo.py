@@ -137,16 +137,15 @@ def _expected_total(rounds: Iterable[tuple[float, float]], p_inconclusive: float
 class ProtocolStats:
     """Outcome of a single protocol run.
 
-    ``pairs_consumed`` counts conveyed atomic pairs per node (one per
-    attempt); each attempt also consumes the two shared entangled pairs
-    those atoms carry.
+    Resources follow from ``rounds_attempted``: each attempt conveys one
+    atomic pair per node, consumes the two shared entangled pairs those
+    atoms carry, and exchanges ``MESSAGES_PER_ATTEMPT`` classical
+    messages.
     """
 
     rounds_attempted: int
     rounds_succeeded: int
-    pairs_consumed: int
     total_time: float
-    messages_exchanged: int
     final_fidelity: float
     fidelity_history: tuple[float, ...]
     attempts_per_round: tuple[int, ...]
@@ -193,9 +192,7 @@ def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
     return ProtocolStats(
         rounds_attempted=attempts,
         rounds_succeeded=successes,
-        pairs_consumed=attempts,
         total_time=elapsed,
-        messages_exchanged=MESSAGES_PER_ATTEMPT * attempts,
         final_fidelity=f_current,
         fidelity_history=tuple(history),
         attempts_per_round=tuple(attempts_per_round),

@@ -5,7 +5,9 @@ One round takes two freshly conveyed entangled pairs (slots 1-4 and
 arbitrary two-qubit state), evolves both triplets (1,2,3) and (4,5,6)
 under the ring-exchange Hamiltonian for a time t0, measures slots
 (1,2,4,5) in the computational basis, and keeps the stationary pair
-conditioned on the predefined outcome.
+conditioned on the predefined outcome.  These positions are the only
+slot bookkeeping: the six-qubit arrays run over slots 1..6 in order,
+and the returned pair is the 4x4 matrix of slots (3, 6).
 
 Outcome convention
 ------------------
@@ -37,11 +39,10 @@ from .states import (
     computational_pair,
     fidelity,
 )
-from .xy import build_xy, evolve_composite
+from .xy import _check_coupling, build_xy, evolve_composite
 
 MEASURED_SLOTS = (1, 2, 4, 5)
 PREDEFINED_OUTCOME = "0101"
-ACCEPTED_OUTCOMES = frozenset({"0101", "1010"})
 ZERO_PROBABILITY_THRESHOLD = 1e-14
 
 
@@ -54,8 +55,7 @@ class OperationalTime:
 
 
 def operational_time(j: float, n: int = 0) -> OperationalTime:
-    if j == 0:
-        raise DomainError("coupling J must be nonzero")
+    _check_coupling(j)
     if n < 0:
         raise DomainError(f"time index n must be >= 0, got {n}")
     return OperationalTime(n, math.pi * (n + 0.5) / (3.0 * j))
@@ -75,8 +75,7 @@ class RoundInput:
             raise DomainError(f"conveyed-pair fidelity must lie in [0,1], got {self.f}")
         if self.stationary_state.dim != 4:
             raise ShapeError("stationary state must be a two-qubit density matrix")
-        if self.j == 0:
-            raise DomainError("coupling J must be nonzero")
+        _check_coupling(self.j)
         if not np.isfinite(self.t0):
             raise DomainError(f"evolution time must be finite, got {self.t0}")
 
@@ -87,7 +86,6 @@ class RoundResult:
 
     post_state: DensityMatrix
     success_probability: float
-    accepted_outcomes: frozenset
     outcome_probabilities: Mapping[str, float]
     werner_deviation: float
 
@@ -120,17 +118,16 @@ def run_round(inp: RoundInput,
     probs = diag.transpose(0, 1, 3, 4, 2, 5).reshape(16, 4).sum(axis=1).real
     outcome_probs = {format(k, "04b"): float(p) for k, p in enumerate(probs)}
     prob = outcome_probs[bits]
-    if prob < ZERO_PROBABILITY_THRESHOLD:
+    if not prob >= ZERO_PROBABILITY_THRESHOLD:
         raise ZeroProbabilityError(
             f"outcome {bits!r} on slots {MEASURED_SLOTS} has probability {prob:.3e}")
     b1, b2, b4, b5 = (int(b) for b in bits)
     block = evolved.reshape((2,) * 12)[b1, b2, :, b4, b5, :,
                                        b1, b2, :, b4, b5, :].reshape(4, 4)
-    post = DensityMatrix(block / prob, (3, 6))
+    post = DensityMatrix(block / prob)
     return RoundResult(
         post_state=post,
         success_probability=prob,
-        accepted_outcomes=ACCEPTED_OUTCOMES,
         outcome_probabilities=outcome_probs,
         werner_deviation=bell_decompose(post).off_diagonal_norm,
     )
@@ -250,8 +247,7 @@ def restore(state: DensityMatrix, elapsed: float, j: float,
     """
     if state.dim != 64:
         raise ShapeError("restore acts on the full six-qubit state")
-    if j == 0:
-        raise DomainError("coupling J must be nonzero")
+    _check_coupling(j)
     if not math.isfinite(elapsed):
         raise DomainError(f"elapsed time must be finite, got {elapsed}")
     period = math.pi / abs(j)
@@ -262,8 +258,7 @@ def restore(state: DensityMatrix, elapsed: float, j: float,
             f"m={m} gives total time {m * period:.6g} before elapsed {elapsed:.6g}")
     remaining = m * period - elapsed
     u = evolve_composite(build_xy(j), remaining)
-    return DensityMatrix(u.matrix @ state.matrix @ u.matrix.conj().T,
-                         state.labels)
+    return DensityMatrix(u.matrix @ state.matrix @ u.matrix.conj().T)
 
 
 def bootstrap_round(f: float, t0: float, j: float = 1.0) -> RoundResult:
@@ -274,30 +269,6 @@ def bootstrap_round(f: float, t0: float, j: float = 1.0) -> RoundResult:
     """
     if not 0.5 < f <= 1.0:
         raise DomainError(f"bootstrap needs f in (0.5, 1], got {f}")
-    seed = computational_pair("00", labels=(3, 6))
+    seed = computational_pair("00")
     return run_round(RoundInput(f=f, stationary_state=seed, t0=t0, j=j))
 
-
-@dataclass(frozen=True)
-class BellCoefficients:
-    """Bell-basis summary (a, b, c, d) of a stationary-pair state.
-
-    a: phi+ weight, c: phi- weight, b: common psi+/psi- weight,
-    d: real phi+/phi- coherence.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-
-def bell_coefficients(rho: DensityMatrix) -> BellCoefficients:
-    dec = bell_decompose(rho)
-    m = dec.matrix
-    return BellCoefficients(
-        a=dec.weights["phi_plus"],
-        b=0.5 * (dec.weights["psi_plus"] + dec.weights["psi_minus"]),
-        c=dec.weights["phi_minus"],
-        d=float(np.real(m[0, 1])),
-    )

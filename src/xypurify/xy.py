@@ -14,6 +14,7 @@ eigenvalues {4J, -2J, -2J}.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,15 +23,13 @@ from .errors import DegenerateCouplingError, DomainError, ShapeError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_N_SITE = np.array([[0, 0], [0, 1]], dtype=complex)  # |1><1|, excited = |1>
 
 UNITARITY_TOL = 1e-11
 
 
-def _op_on(op: np.ndarray, site: int, n: int = 3) -> np.ndarray:
+def _op_on(op: np.ndarray, site: int) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
-    for k in range(n):
+    for k in range(3):
         out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
     return out
 
@@ -48,11 +47,6 @@ _XY_UNIT = _xy_unit()
 _XY_UNIT.setflags(write=False)
 
 
-def number_operator(n: int = 3) -> np.ndarray:
-    """Total excitation number operator on n qubits."""
-    return sum(_op_on(_N_SITE, k, n) for k in range(n))
-
-
 @dataclass(frozen=True)
 class XYHamiltonian:
     """Ring-exchange Hamiltonian for one atomic triplet."""
@@ -64,10 +58,17 @@ class XYHamiltonian:
         self.matrix.setflags(write=False)
 
 
-def build_xy(j: float) -> XYHamiltonian:
-    """Construct H(J); J may take either sign but not zero."""
+def _check_coupling(j: float) -> None:
+    """The coupling J of every entry point: finite and nonzero, either sign."""
     if j == 0:
         raise DegenerateCouplingError("coupling J must be nonzero")
+    if not math.isfinite(j):
+        raise DomainError(f"coupling J must be finite, got {j}")
+
+
+def build_xy(j: float) -> XYHamiltonian:
+    """Construct H(J); J may take either sign but not zero."""
+    _check_coupling(j)
     return XYHamiltonian(j, j * _XY_UNIT)
 
 
@@ -83,16 +84,21 @@ class EvolutionOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"propagator must be square, got {m.shape}")
         dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:
             raise ShapeError(f"propagator not unitary: deviation {dev:.3e}")
         m.setflags(write=False)
 
 
 def evolve_triplet(h: XYHamiltonian, t: float) -> EvolutionOperator:
-    """exp(-i H t) for one triplet via Hermitian eigendecomposition."""
-    if not np.isfinite(t):
-        raise DomainError(f"evolution time must be finite, got {t}")
+    """exp(-i H t) for one triplet via Hermitian eigendecomposition.
+
+    Raises :class:`DomainError` unless the largest phase |w| t is finite,
+    which rejects a non-finite t and a finite one whose phase overflows.
+    Python floats overflow to inf without numpy's RuntimeWarning.
+    """
     w, v = np.linalg.eigh(h.matrix)
+    if not math.isfinite(t * float(np.abs(w).max())):
+        raise DomainError(f"evolution phase must be finite, got t={t} for J={h.j}")
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return EvolutionOperator(t, u)
 
@@ -101,11 +107,3 @@ def evolve_composite(h: XYHamiltonian, t: float) -> EvolutionOperator:
     """Propagator for two identical triplets, slots (1,2,3) x (4,5,6)."""
     u3 = evolve_triplet(h, t).matrix
     return EvolutionOperator(t, np.kron(u3, u3))
-
-
-def excitation_sectors(n: int = 3) -> dict[int, list[int]]:
-    """Computational-basis indices grouped by excitation number."""
-    sectors: dict[int, list[int]] = {}
-    for idx in range(2 ** n):
-        sectors.setdefault(bin(idx).count("1"), []).append(idx)
-    return sectors

@@ -16,7 +16,7 @@ from xypurify import (
     DensityMatrix,
     ProtocolConfig,
     RoundInput,
-    bell_coefficients,
+    bell_decompose,
     bootstrap_round,
     build_xy,
     closed_form_cnot,
@@ -28,7 +28,6 @@ from xypurify import (
     evolve_composite,
     expected_attempts,
     operational_time,
-    permute,
     random_bell_diagonal,
     restore,
     run_round,
@@ -36,11 +35,12 @@ from xypurify import (
     scheme_c_pump,
     simulate_batch,
     solve_geometry,
-    tensor,
     werner,
     xy_agreement,
 )
 from xypurify.cavity import peak_collective_coupling
+
+from oracle import six_qubit_state
 
 T = operational_time(1.0).t
 
@@ -65,15 +65,20 @@ class _Budget:
             print(f"ACCEPTANCE {self.name}: FAIL after {self.elapsed:.2f}s")
 
 
-def quiet_werner(f, labels=(1, 2)):
+def quiet_werner(f):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return werner(f, labels=labels)
+        return werner(f)
 
 
 def werner_round(f, fprime, t0):
-    return run_round(RoundInput(f=f, stationary_state=quiet_werner(fprime, (3, 6)),
+    return run_round(RoundInput(f=f, stationary_state=quiet_werner(fprime),
                                 t0=t0, j=1.0))
+
+
+def coherence(rho):
+    """The real phi+/phi- coherence d of a two-qubit state."""
+    return float(np.real(bell_decompose(rho).matrix[0, 1]))
 
 
 def test_criterion_01_peak_fidelity():
@@ -131,15 +136,13 @@ def test_criterion_05_restoration():
         rng = np.random.default_rng(505)
         h = build_xy(1.0)
         for _ in range(100):
-            rho = tensor(tensor(random_bell_diagonal(rng, (1, 4)),
-                                random_bell_diagonal(rng, (2, 5))),
-                         random_bell_diagonal(rng, (3, 6)))
-            rho = permute(rho, (1, 2, 3, 4, 5, 6))
+            rho = six_qubit_state(*(random_bell_diagonal(rng).matrix
+                                    for _ in range(3)))
             elapsed = rng.uniform(0.0, math.pi)
             u = evolve_composite(h, elapsed).matrix
-            evolved = DensityMatrix(u @ rho.matrix @ u.conj().T, rho.labels)
+            evolved = DensityMatrix(u @ rho @ u.conj().T)
             restored = restore(evolved, elapsed=elapsed, j=1.0, m=1)
-            delta = restored.matrix - rho.matrix
+            delta = restored.matrix - rho
             trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(delta)).sum()
             assert trace_distance < 1e-10
 
@@ -169,14 +172,13 @@ def test_criterion_07_comparison_claims():
 def test_criterion_08_bootstrap():
     with _Budget("8 bootstrap", 10.0):
         result = bootstrap_round(0.75, T)
-        coeff = bell_coefficients(result.post_state)
-        assert abs(coeff.a - 0.75) < 0.02
         state = result.post_state
-        coherences = [abs(coeff.d)]
+        assert abs(bell_decompose(state).weights["phi_plus"] - 0.75) < 0.02
+        coherences = [abs(coherence(state))]
         for _ in range(5):
             state = run_round(RoundInput(f=0.75, stationary_state=state,
                                          t0=T, j=1.0)).post_state
-            coherences.append(abs(bell_coefficients(state).d))
+            coherences.append(abs(coherence(state)))
         assert all(b < a for a, b in zip(coherences, coherences[1:]))
         assert coherences[-1] < 1e-3
         assert min(i for i, c in enumerate(coherences) if c < 1e-3) <= 6

@@ -46,6 +46,16 @@ class TestRoundCommand:
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"] == "DomainError"
 
+    @pytest.mark.parametrize("jt0", ["1e308", "-1e308", "nan", "inf"])
+    def test_non_finite_phase_exit_code(self, runner, jt0):
+        # no RuntimeWarning on the way: pytest makes warnings errors, which
+        # would end the command with exit code 1
+        result = runner.invoke(main, ["round", "--f", "0.8", "--fprime", "0.8",
+                                      "--jt0", jt0])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+
     def test_mutually_exclusive_time_flags(self, runner):
         result = runner.invoke(main, ["round", "--f", "0.75", "--fprime", "0.75"])
         assert result.exit_code == 2

@@ -6,6 +6,7 @@ import pytest
 from xypurify import (
     DensityMatrix,
     DomainError,
+    ZeroProbabilityError,
     bell_decompose,
     closed_form_cnot,
     closed_form_general,
@@ -15,16 +16,17 @@ from xypurify import (
     scheme_c_pump,
     werner,
 )
+from xypurify import cnot
 from xypurify.cnot import U_MINUS, U_PLUS, _dejmps_map
 from xypurify.pumping import EPSILON_DEFAULT
 from xypurify.states import BELL_ORDER
 
 
-def quiet_werner(f, labels=(1, 2)):
+def quiet_werner(f):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return werner(f, labels=labels)
+        return werner(f)
 
 
 class TestGateConventions:
@@ -75,8 +77,15 @@ class TestCnotRound:
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            cnot_round(werner(0.8),
-                       DensityMatrix(np.eye(2) / 2, ("x",)))
+            cnot_round(werner(0.8), DensityMatrix(np.eye(2) / 2))
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_lost_or_nan_weight_is_zero_probability(self, monkeypatch, fill):
+        # a gate that keeps no weight, or carries nan, must stop at the
+        # probability check and not reach DensityMatrix
+        monkeypatch.setattr(cnot, "_GATE", np.full((16, 16), fill, dtype=complex))
+        with pytest.raises(ZeroProbabilityError):
+            cnot_round(werner(0.8), werner(0.7))
 
 
 class TestSchemeCPump:
@@ -175,10 +184,10 @@ def bell_weights(rho):
 
 def simulated_fixed_point(f, max_iter=500):
     # the limit of a cnot_round loop, the oracle for the map's Perron vector
-    stored = quiet_werner(f, labels=("1A", "1B"))
+    stored = quiet_werner(f)
     prev = f
     for _ in range(max_iter):
-        res = cnot_round(stored, quiet_werner(f, labels=("2A", "2B")))
+        res = cnot_round(stored, quiet_werner(f))
         stored = res.post_state
         if abs(res.fidelity - prev) < 1e-15:
             return res.fidelity
@@ -188,10 +197,10 @@ def simulated_fixed_point(f, max_iter=500):
 
 def simulated_optimal_rounds(f, epsilon):
     target = simulated_fixed_point(f)
-    stored = quiet_werner(f, labels=("1A", "1B"))
+    stored = quiet_werner(f)
     current, n = f, 0
     while target - current >= epsilon:
-        res = cnot_round(stored, quiet_werner(f, labels=("2A", "2B")))
+        res = cnot_round(stored, quiet_werner(f))
         stored, current, n = res.post_state, res.fidelity, n + 1
     return n
 
@@ -200,8 +209,8 @@ class TestDejmpsMap:
     def test_matches_cnot_round_on_bell_diagonal_sources(self):
         rng = np.random.default_rng(23)
         for f in rng.uniform(0.0, 1.0, 12):
-            src = random_bell_diagonal(rng, labels=("1A", "1B"))
-            res = cnot_round(src, quiet_werner(f, labels=("2A", "2B")))
+            src = random_bell_diagonal(rng)
+            res = cnot_round(src, quiet_werner(f))
             post = _dejmps_map(f) @ bell_weights(src)
             assert post.sum() == pytest.approx(res.success_probability, abs=1e-12)
             np.testing.assert_allclose(post / post.sum(), bell_weights(res.post_state),
@@ -220,7 +229,6 @@ class TestDejmpsMap:
             assert trace.n_optimal == simulated_optimal_rounds(f, EPSILON_DEFAULT)
 
     def test_pump_runs_cnot_round_only_for_reported_rounds(self, monkeypatch):
-        import xypurify.cnot as cnot
         calls = []
         original = cnot.cnot_round
         monkeypatch.setattr(cnot, "cnot_round",
@@ -231,5 +239,5 @@ class TestDejmpsMap:
                             lambda *a, **kw: built.append(1) or werner(*a, **kw))
         trace = scheme_c_pump(0.75, 2)
         assert len(calls) == 2
-        assert len(built) == 2  # the stored pair and one target for all rounds
+        assert len(built) == 1  # the first stored pair is also every round's target
         assert trace.n_optimal == simulated_optimal_rounds(0.75, EPSILON_DEFAULT)

@@ -23,6 +23,31 @@ CAVITY_NAMES = (
     "solve_geometry", "xy_agreement",
 )
 
+# every public name of ``dir(xypurify)``, submodules included, in dir's
+# sorted order; a name joins or leaves the package only with an edit here
+PUBLIC_API = (
+    "AgreementReport", "AnalysisError", "AsymptoticCouplings", "BatchStats",
+    "BellDecomposition", "BelowThresholdWarning", "CavityGeometry",
+    "CnotRoundResult", "ComparisonRow", "ConfigurationError",
+    "DegenerateCouplingError", "DensityMatrix", "DomainError",
+    "EvolutionOperator", "GeometryError", "NegativeDurationError",
+    "OperationalTime", "ProtocolConfig", "ProtocolStats", "PumpRound",
+    "PumpTrace", "RoundFormulas", "RoundInput", "RoundResult",
+    "SaturationRow", "ShapeError", "StateValidationError", "StiffnessError",
+    "Trajectory", "U_MINUS", "U_PLUS", "XYHamiltonian", "XyPurifyError",
+    "ZeroProbabilityError", "asymptotic_hamiltonian", "bell_decompose",
+    "bell_diagonal_map", "bootstrap_round", "build_xy", "cavity",
+    "closed_form_cnot", "closed_form_fidelity", "closed_form_general",
+    "closed_form_success", "cnot", "cnot_round", "comparison_table",
+    "computational_pair", "convergence_study", "coupling", "errors",
+    "evolve_composite", "evolve_triplet", "expected_attempts", "fidelity",
+    "fixed_point", "integrate_effective", "integrate_full", "montecarlo",
+    "operational_time", "optimal_rounds", "pump", "pumping",
+    "random_bell_diagonal", "restore", "rounds", "run_protocol",
+    "run_round", "saturation_table", "scheme_c_pump", "simulate_batch",
+    "solve_geometry", "states", "werner", "xy", "xy_agreement",
+)
+
 
 def cold_ok(*args):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -53,6 +78,14 @@ def test_cavity_names_are_bound_without_scipy():
     assert report["scipy"] is False
     assert report["same"] == [True] * len(CAVITY_NAMES)
     assert set(CAVITY_NAMES) | {"cavity"} <= set(report["listed"])
+
+
+def test_public_api_is_pinned():
+    # in a new interpreter: once any test imports xypurify.cli, the package
+    # binds "cli" too
+    script = "import json, xypurify; print(json.dumps(dir(xypurify)))"
+    listed = json.loads(cold_ok("-c", script).stdout)
+    assert tuple(n for n in listed if not n.startswith("_")) == PUBLIC_API
 
 
 def test_unknown_attribute_raises():

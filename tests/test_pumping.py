@@ -83,7 +83,7 @@ class TestPump:
     def test_simulation_mode_matches_six_qubit_loop(self, f, j):
         # the rounds at the operational time do not depend on J
         sim = pump(f, 10, mode="simulation")
-        state = werner(f, labels=(3, 6))
+        state = werner(f)
         t = operational_time(j).t
         for r in sim.rounds:
             result = run_round(RoundInput(f=f, stationary_state=state, t0=t, j=j))

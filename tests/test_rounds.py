@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +13,8 @@ from xypurify import (
     NegativeDurationError,
     RoundInput,
     ZeroProbabilityError,
-    bell_coefficients,
     bell_decompose,
     bell_diagonal_map,
-    bell_projector,
     bootstrap_round,
     build_xy,
     closed_form_fidelity,
@@ -25,23 +24,26 @@ from xypurify import (
     evolve_composite,
     fidelity,
     operational_time,
-    partial_trace,
-    permute,
     random_bell_diagonal,
     restore,
     run_round,
-    tensor,
     werner,
 )
 from xypurify import rounds
-from xypurify.states import BELL_ORDER
+from xypurify.states import BELL_ORDER, BELL_PROJECTORS
+
+from oracle import six_qubit_state, stored_pair
 
 T = operational_time(1.0).t  # pi/6
 
 
 def make_input(f, fprime, t0, j=1.0):
-    return RoundInput(f=f, stationary_state=werner(fprime, labels=(3, 6)),
-                      t0=t0, j=j)
+    return RoundInput(f=f, stationary_state=werner(fprime), t0=t0, j=j)
+
+
+def coherence(rho):
+    """The real phi+/phi- coherence d of a two-qubit state."""
+    return float(np.real(bell_decompose(rho).matrix[0, 1]))
 
 
 class TestClosedForms:
@@ -159,6 +161,18 @@ class TestOperationalTime:
             operational_time(1.0, -1)
 
 
+@pytest.mark.parametrize("j", [0.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [
+    build_xy,
+    operational_time,
+    lambda j: RoundInput(f=0.8, stationary_state=werner(0.7), t0=T, j=j),
+    lambda j: restore(DensityMatrix(np.eye(64) / 64), elapsed=T, j=j),
+], ids=["build_xy", "operational_time", "RoundInput", "restore"])
+def test_coupling_finite_and_nonzero(entry, j):
+    with pytest.raises(DomainError, match="coupling J must be"):
+        entry(j)
+
+
 class TestRunRound:
     def test_peak_fidelity(self):
         result = run_round(make_input(0.75, 0.75, T))
@@ -185,7 +199,6 @@ class TestRunRound:
         p0101 = result.outcome_probabilities["0101"]
         p1010 = result.outcome_probabilities["1010"]
         assert p0101 == pytest.approx(p1010, abs=1e-12)
-        assert result.accepted_outcomes == {"0101", "1010"}
 
     def test_conditioning_identical_across_accepted_outcomes(self):
         # for Bell-diagonal stationary states either accepted outcome
@@ -202,6 +215,15 @@ class TestRunRound:
         with pytest.raises(ZeroProbabilityError):
             run_round(make_input(1.0, 1.0, 0.0), predefined_outcome="0001")
 
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_lost_or_nan_weight_is_zero_probability(self, monkeypatch, fill):
+        # a propagator that keeps no weight, or carries nan, must stop at
+        # the probability check and not reach DensityMatrix
+        propagator = SimpleNamespace(matrix=np.full((64, 64), fill, dtype=complex))
+        monkeypatch.setattr(rounds, "evolve_composite", lambda h, t: propagator)
+        with pytest.raises(ZeroProbabilityError):
+            run_round(make_input(0.8, 0.7, T))
+
     def test_malformed_outcome_rejected(self):
         for bits in ("01", "01a1", "01010"):
             with pytest.raises(DomainError):
@@ -210,7 +232,7 @@ class TestRunRound:
     def test_validates_only_two_qubit_states(self, monkeypatch):
         # the six-qubit state of run_round and the four-qubit state of
         # cnot_round are plain arrays; returned pairs are validated
-        stored = random_bell_diagonal(np.random.default_rng(5), labels=(3, 6))
+        stored = random_bell_diagonal(np.random.default_rng(5))
         source, target = werner(0.8), werner(0.7)
         dims = Counter()
         validate = DensityMatrix.__post_init__
@@ -272,8 +294,7 @@ class TestRunRound:
         with pytest.raises(DomainError):
             make_input(1.2, 0.7, T)
         with pytest.raises(DomainError):
-            RoundInput(f=0.8, stationary_state=werner(0.7, labels=(3, 6)),
-                       t0=T, j=0.0)
+            RoundInput(f=0.8, stationary_state=werner(0.7), t0=T, j=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(f=st.floats(0.501, 1.0), fprime=st.floats(0.501, 1.0),
@@ -295,21 +316,18 @@ class TestRunRound:
 
 class TestRestore:
     def evolved_composite(self, rng, elapsed, j=1.0):
-        rho = tensor(tensor(random_bell_diagonal(rng, (1, 4)),
-                            random_bell_diagonal(rng, (2, 5))),
-                     random_bell_diagonal(rng, (3, 6)))
-        rho = permute(rho, (1, 2, 3, 4, 5, 6))
+        rho = DensityMatrix(six_qubit_state(
+            *(random_bell_diagonal(rng).matrix for _ in range(3))))
         u = evolve_composite(build_xy(j), elapsed).matrix
-        return rho, DensityMatrix(u @ rho.matrix @ u.conj().T, rho.labels)
+        return rho, DensityMatrix(u @ rho.matrix @ u.conj().T)
 
     def test_restores_after_gate_time(self):
         rng = np.random.default_rng(5)
         original, evolved = self.evolved_composite(rng, T)
         restored = restore(evolved, elapsed=T, j=1.0, m=1)
         np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
-        red_orig = partial_trace(original, keep={3, 6})
-        red_rest = partial_trace(restored, keep={3, 6})
-        np.testing.assert_allclose(red_rest.matrix, red_orig.matrix, atol=1e-11)
+        np.testing.assert_allclose(stored_pair(restored.matrix),
+                                   stored_pair(original.matrix), atol=1e-11)
 
     def test_zero_elapsed_unchanged(self):
         rng = np.random.default_rng(6)
@@ -342,13 +360,14 @@ class TestRestore:
 class TestBootstrap:
     def test_first_round_coefficients(self):
         result = bootstrap_round(0.75, T)
-        coeff = bell_coefficients(result.post_state)
-        assert coeff.a == pytest.approx(0.75, abs=0.02)
-        # frozen from the six-qubit simulation
-        assert coeff.a == pytest.approx(0.758398, abs=1e-5)
-        assert coeff.c == pytest.approx(0.069337, abs=1e-5)
-        assert coeff.b == pytest.approx(0.086133, abs=1e-5)
-        assert coeff.d == pytest.approx(0.069337, abs=1e-5)
+        w = bell_decompose(result.post_state).weights
+        assert w["phi_plus"] == pytest.approx(0.75, abs=0.02)
+        # frozen from the six-qubit simulation; psi+ and psi- share b
+        assert w["phi_plus"] == pytest.approx(0.758398, abs=1e-5)
+        assert w["phi_minus"] == pytest.approx(0.069337, abs=1e-5)
+        assert 0.5 * (w["psi_plus"] + w["psi_minus"]) == pytest.approx(0.086133,
+                                                                       abs=1e-5)
+        assert coherence(result.post_state) == pytest.approx(0.069337, abs=1e-5)
         assert result.success_probability == pytest.approx(0.099537, abs=1e-5)
 
     def test_perfect_pairs_favor_target(self):
@@ -359,11 +378,11 @@ class TestBootstrap:
 
     def test_coherence_decays_over_rounds(self):
         state = bootstrap_round(0.75, T).post_state
-        magnitudes = [abs(bell_coefficients(state).d)]
+        magnitudes = [abs(coherence(state))]
         for _ in range(5):
             state = run_round(RoundInput(f=0.75, stationary_state=state,
                                          t0=T, j=1.0)).post_state
-            magnitudes.append(abs(bell_coefficients(state).d))
+            magnitudes.append(abs(coherence(state)))
         assert all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
         assert min(magnitudes) < 1e-3
 
@@ -380,7 +399,7 @@ def oracle_map(f, j=1.0):
     """Bell-weight map of one six-qubit round, column k from Bell state k."""
     cols = []
     for k in BELL_ORDER:
-        stored = DensityMatrix(bell_projector(k).matrix, (3, 6))
+        stored = DensityMatrix(BELL_PROJECTORS[k])
         result = run_round(RoundInput(f=f, stationary_state=stored,
                                       t0=operational_time(j).t, j=j))
         weights = bell_decompose(result.post_state).weights
@@ -404,7 +423,7 @@ class TestBellDiagonalMap:
         rng = np.random.default_rng(11)
         for f in (0.3, 0.6, 0.9):
             for j in (1.0, -0.7, 2.5):
-                stored = random_bell_diagonal(rng, (3, 6))
+                stored = random_bell_diagonal(rng)
                 result = run_round(RoundInput(f=f, stationary_state=stored,
                                               t0=operational_time(j).t, j=j))
                 w = bell_decompose(stored).weights

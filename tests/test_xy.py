@@ -4,22 +4,32 @@ import pytest
 from xypurify import (
     DegenerateCouplingError,
     DomainError,
+    EvolutionOperator,
+    ShapeError,
     build_xy,
     evolve_composite,
     evolve_triplet,
-    number_operator,
     random_bell_diagonal,
-    permute,
-    tensor,
 )
-from xypurify.xy import excitation_sectors
+
+from oracle import six_qubit_state
 
 
 def composite_bell_product(rng):
-    rho = tensor(tensor(random_bell_diagonal(rng, (1, 4)),
-                        random_bell_diagonal(rng, (2, 5))),
-                 random_bell_diagonal(rng, (3, 6)))
-    return permute(rho, (1, 2, 3, 4, 5, 6))
+    return six_qubit_state(*(random_bell_diagonal(rng).matrix for _ in range(3)))
+
+
+def excitation_sectors(n=3):
+    """Computational-basis indices grouped by excitation number (|1> excited)."""
+    sectors = {}
+    for idx in range(2 ** n):
+        sectors.setdefault(bin(idx).count("1"), []).append(idx)
+    return sectors
+
+
+def number_operator(n=3):
+    """Total excitation number: diagonal, counting the 1 bits of each index."""
+    return np.diag([float(bin(idx).count("1")) for idx in range(2 ** n)])
 
 
 class TestHamiltonian:
@@ -106,10 +116,23 @@ class TestEvolution:
                 u = evolve_triplet(build_xy(j), m * np.pi / abs(j)).matrix
                 np.testing.assert_allclose(u, np.eye(8), atol=1e-11)
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    # 1e308 and -1e308 are finite, but the phase 4 J t overflows
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(DomainError):
             evolve_triplet(build_xy(1.0), t)
+
+    def test_largest_finite_phase_accepted(self):
+        # |w| t = 4 * 4e307 stays finite
+        u = evolve_triplet(build_xy(1.0), 4e307).matrix
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), complex(np.nan, 1.0)])
+    def test_nan_propagator_rejected(self, bad):
+        m = np.eye(8, dtype=complex)
+        m[3, 5] = bad
+        with pytest.raises(ShapeError, match="not unitary"):
+            EvolutionOperator(0.0, m)
 
     def test_composite_time_zero(self):
         u = evolve_composite(build_xy(1.0), 0.0)
@@ -127,8 +150,8 @@ class TestEvolution:
         for m in (1, 2):
             u = evolve_composite(h, m * np.pi).matrix
             rho = composite_bell_product(rng)
-            out = u @ rho.matrix @ u.conj().T
-            np.testing.assert_allclose(out, rho.matrix, atol=1e-12)
+            out = u @ rho @ u.conj().T
+            np.testing.assert_allclose(out, rho, atol=1e-12)
 
     def test_excitation_conservation(self):
         # weight never crosses between sectors under evolution
