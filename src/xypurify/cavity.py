@@ -105,6 +105,9 @@ _DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
 
 
+_BLOCK_ROWS = 256  # accepted states per storage block of _dop853
+
+
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -114,11 +117,14 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
     """Integrate y' = fun(t, y) forward from t_a to t_b > t_a with the DOP853 pair.
 
     Returns the accepted times and the states at them, shaped like
-    ``solve_ivp``'s ``t`` and ``y``.  The initial step, the error norm and
-    the step control are those of ``scipy.integrate.solve_ivp(method=
-    "DOP853")``, written operation for operation, so the steps and states
-    are the same floats it produces.  Raises :class:`StiffnessError` where
-    it reports failure: the step falling below 10 ulp of t.
+    ``solve_ivp``'s ``t`` and ``y``: the states are the transpose of one
+    C-ordered (steps, y.size) array, whose rows are written into blocks of
+    _BLOCK_ROWS as the steps are accepted and joined once at the end.  The
+    initial step, the error norm and the step control are those of
+    ``scipy.integrate.solve_ivp(method="DOP853")``, written operation for
+    operation, so the steps and states are the same floats it produces.
+    Raises :class:`StiffnessError` where it reports failure: the step
+    falling below 10 ulp of t.
     """
     t, y = float(t_a), y0
     f = fun(t, y)
@@ -133,7 +139,8 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
     h_abs = min(100 * h0, h1, interval)
 
     k = np.empty((13, y.size))
-    ts, ys = [t], [y]
+    ts, blocks, row = [t], [np.empty((_BLOCK_ROWS, y.size))], 1
+    blocks[0][0] = y
     while t < t_b:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -167,9 +174,13 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
             rejected = True
         t, y, f = t_new, y_new, f_new
         ts.append(t)
-        ys.append(y)
-    ts = np.array(ts)  # before the states are stacked, as solve_ivp does
-    return ts, np.vstack(ys).T
+        if row == _BLOCK_ROWS:
+            blocks.append(np.empty((_BLOCK_ROWS, y.size)))
+            row = 0
+        blocks[-1][row] = y
+        row += 1
+    blocks[-1] = blocks[-1][:row]
+    return np.array(ts), np.concatenate(blocks).T
 
 
 @dataclass(frozen=True)
@@ -315,6 +326,22 @@ def _check_initial(c: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
+def _integrate(rhs, t_a: float, t_b: float, c_init: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Times and (steps, n) complex amplitudes of c' = rhs on y = (Re c, Im c).
+
+    The amplitudes are filled part by part from the real states, with no
+    complex temporary, and the real states are dropped on return, before
+    the callers take their norms.
+    """
+    n = c_init.size
+    times, y = _dop853(rhs, t_a, t_b, np.concatenate([c_init.real, c_init.imag]),
+                       INTEGRATOR_RTOL, INTEGRATOR_ATOL)
+    c = np.empty((len(times), n), dtype=complex)
+    c.real, c.imag = y[:n].T, y[n:].T
+    return times, c
+
+
 def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
     """Integrate the exact single-excitation atom-photon dynamics.
 
@@ -343,20 +370,18 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
         return np.array((g @ y[1:4] - delta * i0, -g1 * r0, -g2 * r0, -g3 * r0,
                          g @ y[5:8] + delta * r0, -g1 * i0, -g2 * i0, -g3 * i0))
 
-    y0 = np.concatenate([c_init.real, c_init.imag])
     try:
-        times, y = _dop853(rhs, t_a, t_b, y0, INTEGRATOR_RTOL, INTEGRATOR_ATOL)
+        times, c = _integrate(rhs, t_a, t_b, c_init)
     except StiffnessError as err:
         raise StiffnessError(
             f"{err}; |delta| is probably too large for the tolerance "
             f"(|delta|/g0 = {abs(delta) / geom.g0:.3g}). Reduce the detuning "
             "ratio or the transit time, or relax the tolerance.") from None
-    c = y[:4] + 1j * y[4:]
-    norms = np.linalg.norm(c, axis=0)
+    norms = np.linalg.norm(c, axis=1)
     return Trajectory(
         times=times,
-        amplitudes=c.T,
-        max_photon_population=float(np.max(np.abs(c[0]) ** 2)),
+        amplitudes=c,
+        max_photon_population=float(np.max(np.abs(c[:, 0]) ** 2)),
         norm_drift=float(np.max(np.abs(norms - 1.0))),
     )
 
@@ -384,13 +409,11 @@ def integrate_effective(geom: CavityGeometry, initial: np.ndarray) -> Trajectory
         s_re, s_im = np.dot(g, y[:3]), np.dot(g, y[3:])
         return np.concatenate([g * s_im * inv_delta, -g * s_re * inv_delta])
 
-    y0 = np.concatenate([c_init.real, c_init.imag])
-    times, y = _dop853(rhs, t_a, t_b, y0, INTEGRATOR_RTOL, INTEGRATOR_ATOL)
-    c = y[:3] + 1j * y[3:]
-    norms = np.linalg.norm(c, axis=0)
+    times, c = _integrate(rhs, t_a, t_b, c_init)
+    norms = np.linalg.norm(c, axis=1)
     return Trajectory(
         times=times,
-        amplitudes=c.T,
+        amplitudes=c,
         max_photon_population=0.0,
         norm_drift=float(np.max(np.abs(norms - 1.0))),
     )

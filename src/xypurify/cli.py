@@ -274,6 +274,11 @@ def _check_config_type(key: str, value) -> None:
         kind = "an integer" if expected is int else "a number"
         raise montecarlo.ConfigurationError(
             f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    # json.load reads NaN and Infinity, 1e400 as inf, and integers of any
+    # size; a nan fails this comparison too
+    if expected is float and not abs(value) <= sys.float_info.max:
+        raise montecarlo.ConfigurationError(
+            f"config key {key!r} must be a finite number, got {json.dumps(value)}")
 
 
 @main.command("montecarlo")

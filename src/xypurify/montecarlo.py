@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice, zip_longest
 from typing import Iterable, Iterator, NamedTuple
@@ -76,6 +77,12 @@ class ProtocolConfig:
         if not 0.0 <= self.p_inconclusive < 1.0:
             raise ConfigurationError(
                 f"p_inconclusive must lie in [0, 1), got {self.p_inconclusive}")
+        for name in ("gate_time", "restore_extra_time", "message_latency"):
+            value = getattr(self, name)
+            # nan fails too, and so does an int past the float range
+            if not 0.0 <= value <= sys.float_info.max:
+                raise ConfigurationError(
+                    f"{name} must be finite and nonnegative, got {value}")
         if self.target_rounds is not None:
             _check_count("target_rounds", self.target_rounds)
             # every round takes at least one attempt on average
@@ -94,8 +101,6 @@ class ProtocolConfig:
                     f"point {limit:.12g}")
             rounds = _rounds_to(self.f, self.target_fidelity, limit)
         _expected_total(rounds, self.p_inconclusive)
-        if self.gate_time < 0 or self.restore_extra_time < 0 or self.message_latency < 0:
-            raise ConfigurationError("times must be nonnegative")
 
 
 def _rounds_to(f: float, target: float, limit: float) -> Iterator[tuple[float, float]]:

@@ -119,8 +119,8 @@ def _bell_rounds(transfer: np.ndarray, f: float) -> Iterator[tuple[float, float]
 def _rounds_within(trajectory: Iterator[tuple[float, float]], f: float,
                    target: float, epsilon: float) -> int:
     """Smallest n with target - F_n < epsilon along a trajectory from F_0 = f."""
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:  # nan fails too, before the walk
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     if target - f < epsilon:
         return 0
     for n, (fid, _) in enumerate(islice(trajectory, MAX_ROUNDS), start=1):

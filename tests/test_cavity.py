@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -190,6 +191,25 @@ class TestFullIntegration:
         for bad in ([1.0, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
             with pytest.raises(DomainError):
                 integrate_full(default_geom(), np.array(bad))
+
+    def test_heap_per_step(self):
+        # states stored in blocks and the amplitudes filled part by part
+        # take about 200 B of traced heap per step
+        geom = default_geom(delta=200.0, v=0.25)
+        integrate_full(geom, C4)  # numpy's first-use allocations stay out
+        tracemalloc.start()
+        try:
+            traj = integrate_full(geom, C4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = len(traj.times) - 1
+        assert steps > 3 * cavity._BLOCK_ROWS
+        assert peak <= 250 * steps
+        for t, n in ((traj, 4), (integrate_effective(geom, C3), 3)):
+            assert t.times.ndim == 1 and t.times.dtype == np.float64
+            assert t.amplitudes.shape == (len(t.times), n)
+            assert t.amplitudes.dtype == np.complex128
 
 
 class TestEffectiveIntegration:

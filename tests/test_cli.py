@@ -328,6 +328,29 @@ class TestMonteCarloCommand:
         assert err["error"] == "ConfigurationError"
         assert next(iter(overrides)) in err["message"]
 
+    @pytest.mark.parametrize("key, literal", [
+        ("gate_time", "NaN"),
+        ("message_latency", "Infinity"),
+        ("restore_extra_time", "-Infinity"),
+        ("f", "NaN"),
+        ("target_fidelity", "NaN"),
+        ("p_inconclusive", "1e400"),
+        pytest.param("gate_time", "1" + "0" * 400, id="gate_time-int-past-float"),
+    ])
+    def test_non_finite_numbers_exit_2(self, runner, tmp_path, key, literal):
+        # json.load accepts these literals and integers of any size; the
+        # config check names the key
+        overrides = {key: "@"}
+        if key == "target_fidelity":
+            overrides["target_rounds"] = None
+        path = self.make_config(tmp_path, **overrides)
+        path.write_text(path.read_text().replace('"@"', literal))
+        result = runner.invoke(main, ["montecarlo", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigurationError"
+        assert f"config key {key!r} must be a finite number" in err["message"]
+
     def test_non_object_config_exit_2(self, runner, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")

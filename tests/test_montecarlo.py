@@ -97,6 +97,15 @@ class TestConfigValidation:
             with pytest.raises(ConfigurationError, match="p_inconclusive"):
                 expected_attempts(0.75, 3, p)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0,
+                                       pytest.param(10**400, id="int-past-float")])
+    @pytest.mark.parametrize("name", ["gate_time", "restore_extra_time",
+                                      "message_latency"])
+    def test_times_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            config(**{name: value})
+        config(**{name: 0.0})
+
     def test_threshold_fidelity_rejected(self):
         with pytest.raises(ConfigurationError):
             ProtocolConfig(f=0.5, target_rounds=1, seed=1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,11 @@ class TestPumpTraceSummary:
         with pytest.raises(DomainError):
             pump(0.75, 2, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])  # 0: above
+    def test_epsilon_positive_and_finite(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon"):
+            pump(0.75, 2, epsilon=epsilon)
+
 
 class TestThresholdBehavior:
     def test_gain_positive_below_fixed_point(self):
@@ -198,6 +205,14 @@ class TestOptimalRounds:
     def test_invalid_epsilon(self):
         with pytest.raises(DomainError):
             optimal_rounds(0.75, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])  # 0: above
+    def test_epsilon_positive_and_finite(self, epsilon, monkeypatch):
+        # rejected before the walk: no round of the recurrence is taken
+        import xypurify.pumping as pumping
+        monkeypatch.setattr(pumping, "closed_form_general", None)
+        with pytest.raises(DomainError, match="epsilon"):
+            optimal_rounds(0.75, epsilon)
 
 
 class TestSaturationTable:
