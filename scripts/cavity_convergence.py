@@ -13,11 +13,11 @@ from xypurify import CavityGeometry, solve_geometry, xy_agreement
 
 if __name__ == "__main__":
     ell = 1.0
-    d = solve_geometry(ell, 1.0)
+    d = solve_geometry(ell)
     print(f"ell = {ell} w, d = {d:.5f} w (unit pair coupling)")
     print(f"{'v':>6} {'delta':>7} {'distance':>10} {'leak':>9} {'bound':>9}")
     for v in (1.0, 0.5, 0.25):
-        geom = CavityGeometry(g0=1.0, w=1.0, ell=ell, d=d, v=v, delta=25.0)
+        geom = CavityGeometry(ell=ell, d=d, v=v, delta=25.0)
         deltas, dists = [], []
         for fac in (1.0, 2.0, 4.0, 8.0):
             g = replace(geom, delta=geom.delta * fac)

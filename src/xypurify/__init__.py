@@ -8,7 +8,6 @@ from .cavity import (
     Trajectory,
     asymptotic_hamiltonian,
     convergence_study,
-    coupling,
     integrate_effective,
     integrate_full,
     solve_geometry,
@@ -31,7 +30,6 @@ from .errors import (
     DegenerateCouplingError,
     DomainError,
     GeometryError,
-    NegativeDurationError,
     ShapeError,
     StateValidationError,
     StiffnessError,

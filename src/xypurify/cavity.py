@@ -9,9 +9,11 @@ coupling approximations, and quantifies how well they agree.  That
 chain is what justifies replacing the microscopic model by the ring-
 exchange Hamiltonian of :mod:`xypurify.xy` in the protocol code.
 
-Internally hbar = 1, times are measured in 1/g0 and lengths in w, so a
-geometry is fully specified by the dimensionless ratios Delta/g0,
-ell/w, d/w and the velocity in units of w*g0.
+The model works in units hbar = g0 = w = 1: the peak coupling g0 and
+the waist w set the scales of rate and length, so times are in 1/g0,
+lengths in w and velocities in w*g0.  A geometry is then fully
+specified by the dimensionless ratios Delta/g0, ell/w, d/w and
+v/(w*g0), which are the four fields of :class:`CavityGeometry`.
 
 Every integral runs over :meth:`CavityGeometry.window`, which clips at
 most erfc(DEFAULT_SPAN) ~ 1.5e-12 of any transit integral (proof in
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import DomainError, GeometryError, StiffnessError
 
 ADIABATIC_RATIO_MIN = 20.0
-DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN * w
+DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN waists
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
 
@@ -187,23 +189,23 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
 class CavityGeometry:
     """Couplings and positions of the conveyed pair and the trapped atom.
 
+    In units g0 = w = 1 (see the module docstring), so the peak coupling
+    is 1 and atom k's coupling is exp(-z_k^2) at axial position z_k.
+
     Parameters
     ----------
-    g0 : vacuum Rabi frequency (peak coupling).
-    w : cavity field waist.
-    ell : transverse offset of the trapped atom.
-    d : spacing between the two conveyed atoms.
-    v : conveyor velocity along z.
-    delta : atom-cavity detuning; sign sets the sign of the effective
-        coupling g^2/delta.
+    ell : transverse offset of the trapped atom, ell/w.
+    d : spacing between the two conveyed atoms, d/w.
+    v : conveyor velocity along z, v/(w*g0).
+    delta : atom-cavity detuning Delta/g0; its sign sets the sign of the
+        effective coupling g^2/delta.
 
-    ``z0``, the initial positions of the conveyed atoms, is derived: atom
-    2 starts ``DEFAULT_SPAN*w`` before the waist and atom 1 a further d
-    behind, so the whole Gaussian transit lies inside the window.
+    ``z0``, the initial positions of the conveyed atoms, is derived from
+    d: atom 2 starts ``DEFAULT_SPAN`` waists before the waist and atom 1 a
+    further d behind, so the whole Gaussian transit lies inside the
+    window.
     """
 
-    g0: float
-    w: float
     ell: float
     d: float
     v: float
@@ -211,32 +213,31 @@ class CavityGeometry:
     z0: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("g0", "w", "v"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise GeometryError(f"{name} must be positive and finite")
+        if not 0 < self.v < math.inf:
+            raise GeometryError("v must be positive and finite")
         if self.delta == 0 or not math.isfinite(self.delta):
             raise GeometryError("detuning must be finite and nonzero")
         if not (0 <= self.d < math.inf and 0 <= self.ell < math.inf):
             raise GeometryError("distances d and ell must be finite and nonnegative")
         # a field, not a property: the integrators' right-hand sides read it
         # on every step
-        start = -DEFAULT_SPAN * self.w - self.d
+        start = -DEFAULT_SPAN - self.d
         object.__setattr__(self, "z0", (start, start + self.d))
         if not 0 < self.window()[1] < math.inf:
             raise GeometryError("w / v gives an empty or unbounded transit window")
 
     @property
     def adiabatic(self) -> bool:
-        return abs(self.delta) >= ADIABATIC_RATIO_MIN * self.g0
+        return abs(self.delta) >= ADIABATIC_RATIO_MIN
 
     @property
     def g_trapped(self) -> float:
-        return self.g0 * math.exp(-(self.ell / self.w) ** 2)
+        return math.exp(-self.ell ** 2)
 
     @property
     def mean_coupling(self) -> float:
-        """g0 * exp(-ell^2 / 2 w^2), the transit-averaged coupling scale."""
-        return self.g0 * math.exp(-(self.ell ** 2) / (2.0 * self.w ** 2))
+        """exp(-ell^2 / 2), the transit-averaged coupling scale."""
+        return math.exp(-(self.ell ** 2) / 2.0)
 
     @property
     def j_effective(self) -> float:
@@ -245,30 +246,24 @@ class CavityGeometry:
 
     @property
     def t_prime(self) -> float:
-        """Effective interaction time sqrt(pi) w / v of one transit."""
-        return math.sqrt(math.pi) * self.w / self.v
+        """Effective interaction time sqrt(pi) / v of one transit."""
+        return math.sqrt(math.pi) / self.v
 
     def window(self) -> tuple[float, float]:
-        """Time window over which both conveyed atoms cover |z| <= DEFAULT_SPAN*w."""
+        """Time window over which both conveyed atoms cover |z| <= DEFAULT_SPAN."""
         z1, z2 = self.z0
         t_a = 0.0
-        t_b = (DEFAULT_SPAN * self.w - min(z1, z2)) / self.v
+        t_b = (DEFAULT_SPAN - min(z1, z2)) / self.v
         return t_a, t_b
 
 
-def coupling(geom: CavityGeometry, atom: int, t: float) -> float:
-    """Atom-cavity coupling of atom 1, 2 (conveyed) or 3 (trapped) at time t."""
-    if atom not in (1, 2, 3):
-        raise DomainError(f"atom index must be 1, 2 or 3, got {atom}")
-    return float(_coupling_vector(geom, t)[atom - 1])
-
-
 def _coupling_vector(geom: CavityGeometry, t: float) -> np.ndarray:
+    """Couplings of atoms 1, 2 (conveyed) and 3 (trapped) at time t."""
     z1, z2 = geom.z0
-    g0, w, v = geom.g0, geom.w, geom.v
+    v = geom.v
     return np.array([
-        g0 * math.exp(-((z1 + v * t) / w) ** 2),
-        g0 * math.exp(-((z2 + v * t) / w) ** 2),
+        math.exp(-(z1 + v * t) ** 2),
+        math.exp(-(z2 + v * t) ** 2),
         geom.g_trapped,
     ])
 
@@ -276,8 +271,8 @@ def _coupling_vector(geom: CavityGeometry, t: float) -> np.ndarray:
 def _coupling_samples(geom: CavityGeometry, ts: np.ndarray) -> np.ndarray:
     """Couplings of atoms 1, 2 and 3 (rows) at the times ts (columns)."""
     z1, z2 = geom.z0
-    g1 = geom.g0 * np.exp(-((z1 + geom.v * ts) / geom.w) ** 2)
-    g2 = geom.g0 * np.exp(-((z2 + geom.v * ts) / geom.w) ** 2)
+    g1 = np.exp(-(z1 + geom.v * ts) ** 2)
+    g2 = np.exp(-(z2 + geom.v * ts) ** 2)
     return np.array([g1, g2, np.full_like(ts, geom.g_trapped)])
 
 
@@ -357,14 +352,14 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
     t_a, t_b = geom.window()
     delta = geom.delta
     z1, z2 = geom.z0
-    g0, w, v, g3 = geom.g0, geom.w, geom.v, geom.g_trapped
+    v, g3 = geom.v, geom.g_trapped
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         # y = (Re c, Im c); the sums g . c_atoms use np.dot, the reduction
         # numpy applies to each part of a complex g @ c, so the step
         # sequence is the one complex arithmetic gives
-        g1 = g0 * math.exp(-((z1 + v * t) / w) ** 2)
-        g2 = g0 * math.exp(-((z2 + v * t) / w) ** 2)
+        g1 = math.exp(-(z1 + v * t) ** 2)
+        g2 = math.exp(-(z2 + v * t) ** 2)
         g = np.array((g1, g2, g3))
         r0, i0 = float(y[0]), float(y[4])
         return np.array((g @ y[1:4] - delta * i0, -g1 * r0, -g2 * r0, -g3 * r0,
@@ -375,7 +370,7 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
     except StiffnessError as err:
         raise StiffnessError(
             f"{err}; |delta| is probably too large for the tolerance "
-            f"(|delta|/g0 = {abs(delta) / geom.g0:.3g}). Reduce the detuning "
+            f"(|delta|/g0 = {abs(delta):.3g}). Reduce the detuning "
             "ratio or the transit time, or relax the tolerance.") from None
     norms = np.linalg.norm(c, axis=1)
     return Trajectory(
@@ -419,22 +414,21 @@ def integrate_effective(geom: CavityGeometry, initial: np.ndarray) -> Trajectory
     )
 
 
-def solve_geometry(ell: float, w: float) -> float:
-    """Spacing d that makes the conveyed-conveyed coupling coefficient 1.
+def solve_geometry(ell: float) -> float:
+    """Spacing d/w that makes the conveyed-conveyed coupling coefficient 1.
 
-    Requires 2 ell^2 >= w^2 ln 2; below that bound no spacing can
-    compensate the pair overlap.
+    ``ell`` is the trapped atom's offset in waists.  Requires
+    2 ell^2 >= ln 2; below that bound no spacing can compensate the pair
+    overlap.
     """
-    if w <= 0:
-        raise GeometryError("waist w must be positive")
     if ell < 0:
         raise GeometryError("offset ell must be nonnegative")
-    bound = w * math.sqrt(math.log(2.0) / 2.0)
+    bound = math.sqrt(math.log(2.0) / 2.0)
     if ell < bound:
         raise GeometryError(
             f"ell = {ell:.6g} is below the feasibility bound w*sqrt(ln2/2) "
             f"= {bound:.6g}; the pair coupling cannot reach 1")
-    return math.sqrt(2.0 * ell ** 2 - w ** 2 * math.log(2.0))
+    return math.sqrt(2.0 * ell ** 2 - math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -446,8 +440,7 @@ class AsymptoticCouplings:
 
 
 def _c12_closed_form(geom: CavityGeometry) -> float:
-    return (1.0 / math.sqrt(2.0)) * math.exp(
-        (2.0 * geom.ell ** 2 - geom.d ** 2) / (2.0 * geom.w ** 2))
+    return (1.0 / math.sqrt(2.0)) * math.exp((2.0 * geom.ell ** 2 - geom.d ** 2) / 2.0)
 
 
 def asymptotic_hamiltonian(geom: CavityGeometry) -> AsymptoticCouplings:
@@ -457,18 +450,19 @@ def asymptotic_hamiltonian(geom: CavityGeometry) -> AsymptoticCouplings:
     largest relative gap of the off-diagonal entries to the closed-form
     Gaussian integrals over all time is ``max_rel_error``.
 
-    The window needs no truncation check.  Atom 2 starts DEFAULT_SPAN*w
-    before the waist, atom 1 a further d behind, and the window ends with
-    atom 1 DEFAULT_SPAN*w past it.  So each atom crosses the waist inside
-    the window and is at least DEFAULT_SPAN waists from it at both edges,
-    exactly that at one edge (5.0 or 4.999999999999999 in floating point).
-    With z_k = z0_k + v t, g_k g_3 ~ exp(-(z_k/w)^2) then loses at most
-    erfc(DEFAULT_SPAN) of its integral past the edges, and g_1 g_2 ~
-    exp(-2 (z_m/w)^2), with z_m = (z_1 + z_2)/2 as far out, at most
+    The window needs no truncation check.  Atom 2 starts DEFAULT_SPAN
+    waists before the waist, atom 1 a further d behind, and the window
+    ends with atom 1 DEFAULT_SPAN waists past it.  So each atom crosses
+    the waist inside the window and is at least DEFAULT_SPAN waists from
+    it at both edges, exactly that at one edge (5.0 or 4.999999999999999
+    in floating point).  With z_k = z0_k + v t, g_k g_3 ~ exp(-z_k^2)
+    then loses at most erfc(DEFAULT_SPAN) of its integral past the
+    edges, and g_1 g_2 ~ exp(-2 z_m^2), with z_m = (z_1 + z_2)/2 as far
+    out, at most
     erfc(sqrt(2) DEFAULT_SPAN): no more than erfc(5) ~ 1.5e-12.
     """
     t_a, t_b = geom.window()
-    prefactor = geom.g0 ** 2 * math.exp(-(geom.ell / geom.w) ** 2) / geom.delta
+    prefactor = math.exp(-geom.ell ** 2) / geom.delta
     tp = geom.t_prime
     # Gauss-Legendre over the whole window; only the off-diagonal entries
     # are used

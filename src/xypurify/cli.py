@@ -225,8 +225,8 @@ def cmd_validate_cavity(delta: float, ell: float, v: float,
                         dump_trajectory: str | None,
                         output: str | None) -> None:
     """Check the microscopic-to-ring-exchange reduction for one geometry."""
-    d = d_override if d_override is not None else cavity.solve_geometry(ell, 1.0)
-    geom = cavity.CavityGeometry(g0=1.0, w=1.0, ell=ell, d=d, v=v, delta=delta)
+    d = d_override if d_override is not None else cavity.solve_geometry(ell)
+    geom = cavity.CavityGeometry(ell=ell, d=d, v=v, delta=delta)
     if not geom.adiabatic and not force:
         raise cavity.GeometryError(
             f"detuning ratio |delta|/g0 = {abs(delta):.4g} is below the "

@@ -30,8 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ZeroProbabilityError
-from .pumping import (EPSILON_DEFAULT, PumpRound, PumpTrace, _bell_rounds,
-                      _rounds_within)
+from .pumping import PumpRound, PumpTrace, _bell_rounds, _rounds_within
 from .rounds import closed_form_general
 from .states import DensityMatrix, fidelity, werner
 
@@ -123,8 +122,7 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
         rounds=rounds,
         f_hat=rounds[-1].fidelity - f,
         fixed_point=xstar,
-        n_optimal=_rounds_within(_bell_rounds(_dejmps_map(f), f), f, xstar,
-                                 EPSILON_DEFAULT),
+        n_optimal=_rounds_within(_bell_rounds(_dejmps_map(f), f), f, xstar),
     )
 
 

@@ -27,10 +27,6 @@ class DegenerateCouplingError(DomainError):
     """Spin-spin coupling J = 0 leaves the dynamics undefined."""
 
 
-class NegativeDurationError(DomainError):
-    """Requested restoration period ends before the already elapsed time."""
-
-
 class GeometryError(XyPurifyError, ValueError):
     """Cavity geometry is infeasible or inconsistent."""
 

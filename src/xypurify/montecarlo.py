@@ -274,8 +274,10 @@ def simulate_batch(config: ProtocolConfig, trials: int,
         run = _run_chunk(config, range(trials))
     else:
         from concurrent.futures import ProcessPoolExecutor
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        # at most one chunk per trial, so every span is non-empty and the
+        # spans never outnumber the trials, however large ``workers`` is
+        bounds = np.linspace(0, trials, min(workers, trials) + 1, dtype=int)
+        spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         # the pool forks max_workers processes up front; one per chunk
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             run = _join(list(pool.map(functools.partial(_run_chunk, config), spans)))

@@ -38,7 +38,7 @@ from .errors import AnalysisError, DomainError
 from .rounds import bell_diagonal_map, closed_form_general
 
 SATURATION_THRESHOLD = 0.005   # per-round gain below this counts as saturated
-EPSILON_DEFAULT = 1e-3         # default fixed-point proximity target
+EPSILON_DEFAULT = 1e-3         # fixed-point proximity target of n_optimal
 MAX_ROUNDS = 10_000            # bound on a search along a pump trajectory
 
 PumpMode = Literal["closed_form", "simulation"]
@@ -87,9 +87,9 @@ def fixed_point(f: float) -> float:
     return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
 
-def optimal_rounds(f: float, epsilon: float = EPSILON_DEFAULT) -> int:
-    """Smallest n with fixed_point(f) - F_n < epsilon."""
-    return _rounds_within(_werner_rounds(f), f, fixed_point(f), epsilon)
+def optimal_rounds(f: float) -> int:
+    """Smallest n with fixed_point(f) - F_n < EPSILON_DEFAULT."""
+    return _rounds_within(_werner_rounds(f), f, fixed_point(f))
 
 
 def _werner_rounds(f: float) -> Iterator[tuple[float, float]]:
@@ -117,21 +117,23 @@ def _bell_rounds(transfer: np.ndarray, f: float) -> Iterator[tuple[float, float]
 
 
 def _rounds_within(trajectory: Iterator[tuple[float, float]], f: float,
-                   target: float, epsilon: float) -> int:
-    """Smallest n with target - F_n < epsilon along a trajectory from F_0 = f."""
-    if not 0.0 < epsilon < math.inf:  # nan fails too, before the walk
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
-    if target - f < epsilon:
+                   target: float) -> int:
+    """Smallest n with target - F_n < EPSILON_DEFAULT on a trajectory from F_0 = f."""
+    if target - f < EPSILON_DEFAULT:
         return 0
     for n, (fid, _) in enumerate(islice(trajectory, MAX_ROUNDS), start=1):
-        if target - fid < epsilon:
+        if target - fid < EPSILON_DEFAULT:
             return n
     raise AnalysisError(f"pump map failed to approach its fixed point for f={f}")
 
 
-def pump(f: float, n: int, mode: PumpMode = "closed_form",
-         epsilon: float = EPSILON_DEFAULT) -> PumpTrace:
-    """Run n successful pumping rounds with fresh fidelity-f pairs."""
+def pump(f: float, n: int, mode: PumpMode = "closed_form") -> PumpTrace:
+    """Run n successful pumping rounds with fresh fidelity-f pairs.
+
+    ``n_optimal`` of the trace is :func:`optimal_rounds`: the rounds the
+    scalar recurrence needs to come within EPSILON_DEFAULT of
+    :func:`fixed_point`, whichever ``mode`` ran the n rounds.
+    """
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs fresh-pair fidelity in (0.5, 1], got {f}")
     if n < 1:
@@ -155,7 +157,7 @@ def pump(f: float, n: int, mode: PumpMode = "closed_form",
         rounds=tuple(rounds),
         f_hat=current_f - f,
         fixed_point=xstar,
-        n_optimal=_rounds_within(_werner_rounds(f), f, xstar, epsilon),
+        n_optimal=_rounds_within(_werner_rounds(f), f, xstar),
     )
 
 

@@ -12,15 +12,15 @@ and the returned pair is the 4x4 matrix of slots (3, 6).
 Outcome convention
 ------------------
 The two outcomes 0101 and 1010 (slot order 1,2,4,5) both herald
-success and, for Bell-diagonal stationary states, give identical
-conditional states with identical probabilities.  All closed forms
-below are normalized per single predefined outcome, so
+success, and they give identical conditional states with identical
+probabilities for every stationary state, the product-state bootstrap
+included: exchanging sites 1<->2 and 4<->5 swaps the two conveyed
+pairs, which are the same Werner state, commutes with both ring
+Hamiltonians, leaves slots 3 and 6 alone and maps 0101 to 1010.
+:func:`run_round` conditions on 0101 (``PREDEFINED_OUTCOME``), and
+all closed forms below are normalized per that single outcome, so
 ``success_probability`` reports the probability of 0101 alone; the
-probability of either accepted outcome is twice that for symmetric
-inputs.  Conditioning uses the single predefined outcome as well,
-which matters only for non-symmetric stationary states (the product
-state bootstrap), where the 1010 branch carries the opposite sign of
-the phi+/phi- coherence.
+probability of either accepted outcome is twice that.
 """
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (DomainError, NegativeDurationError, ShapeError,
-                     ZeroProbabilityError)
+from .errors import DomainError, ShapeError, ZeroProbabilityError
 from .states import (
     DensityMatrix,
     _werner_matrix,
@@ -94,18 +93,14 @@ class RoundResult:
         return fidelity(self.post_state)
 
 
-def run_round(inp: RoundInput,
-              predefined_outcome: str = PREDEFINED_OUTCOME) -> RoundResult:
+def run_round(inp: RoundInput) -> RoundResult:
     """Execute one purification round by direct six-qubit simulation.
 
-    ``predefined_outcome`` is configurable for diagnostics only; the
-    protocol fixes it to 0101 on slots (1, 2, 4, 5).  Only the returned
-    stationary pair is a validated :class:`DensityMatrix`; the six-qubit
-    state is a plain array.
+    The stationary pair is post-selected on ``PREDEFINED_OUTCOME``, 0101
+    on slots (1, 2, 4, 5); ``outcome_probabilities`` reports all sixteen
+    outcomes.  Only the returned stationary pair is a validated
+    :class:`DensityMatrix`; the six-qubit state is a plain array.
     """
-    bits = predefined_outcome
-    if len(bits) != len(MEASURED_SLOTS) or any(b not in "01" for b in bits):
-        raise DomainError(f"outcome {bits!r} does not match slots {MEASURED_SLOTS}")
     # rho_f(1,4) x rho_f(2,5) x rho_stat(3,6), each (row, row, col, col),
     # into rows 1..6 then columns 1..6
     pair = _werner_matrix(inp.f).reshape(2, 2, 2, 2)
@@ -117,11 +112,12 @@ def run_round(inp: RoundInput,
     diag = np.diagonal(evolved).reshape(2, 2, 2, 2, 2, 2)
     probs = diag.transpose(0, 1, 3, 4, 2, 5).reshape(16, 4).sum(axis=1).real
     outcome_probs = {format(k, "04b"): float(p) for k, p in enumerate(probs)}
-    prob = outcome_probs[bits]
+    prob = outcome_probs[PREDEFINED_OUTCOME]
     if not prob >= ZERO_PROBABILITY_THRESHOLD:
         raise ZeroProbabilityError(
-            f"outcome {bits!r} on slots {MEASURED_SLOTS} has probability {prob:.3e}")
-    b1, b2, b4, b5 = (int(b) for b in bits)
+            f"outcome {PREDEFINED_OUTCOME!r} on slots {MEASURED_SLOTS} "
+            f"has probability {prob:.3e}")
+    b1, b2, b4, b5 = (int(b) for b in PREDEFINED_OUTCOME)
     block = evolved.reshape((2,) * 12)[b1, b2, :, b4, b5, :,
                                        b1, b2, :, b4, b5, :].reshape(4, 4)
     post = DensityMatrix(block / prob)
@@ -237,13 +233,14 @@ def bell_diagonal_map(f: float) -> np.ndarray:
     return (_BELL_MAP_A + f * _BELL_MAP_B + f * f * _BELL_MAP_C) / 2916.0
 
 
-def restore(state: DensityMatrix, elapsed: float, j: float,
-            m: int | None = None) -> DensityMatrix:
-    """Complete the evolution to a full period m*pi/J.
+def restore(state: DensityMatrix, elapsed: float, j: float) -> DensityMatrix:
+    """Complete an evolution of length ``elapsed`` to a full period m*pi/|J|.
 
     The propagator is the exact identity at multiples of pi/J, so
-    evolving the six-qubit state for (m*pi/J - elapsed) undoes the
-    partial evolution without any measurement or feedback.
+    evolving the six-qubit state for (m*pi/|J| - elapsed) undoes the
+    partial evolution without any measurement or feedback.  m is the
+    smallest positive integer with m*pi/|J| >= elapsed less 1e-12
+    periods, so the remaining time is never shorter than -1e-12 periods.
     """
     if state.dim != 64:
         raise ShapeError("restore acts on the full six-qubit state")
@@ -251,11 +248,7 @@ def restore(state: DensityMatrix, elapsed: float, j: float,
     if not math.isfinite(elapsed):
         raise DomainError(f"elapsed time must be finite, got {elapsed}")
     period = math.pi / abs(j)
-    if m is None:
-        m = max(1, math.ceil(elapsed / period - 1e-12))
-    if m * period < elapsed - 1e-12 * period:
-        raise NegativeDurationError(
-            f"m={m} gives total time {m * period:.6g} before elapsed {elapsed:.6g}")
+    m = max(1, math.ceil(elapsed / period - 1e-12))
     remaining = m * period - elapsed
     u = evolve_composite(build_xy(j), remaining)
     return DensityMatrix(u.matrix @ state.matrix @ u.matrix.conj().T)

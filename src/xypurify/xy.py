@@ -83,6 +83,9 @@ class EvolutionOperator:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"propagator must be square, got {m.shape}")
+        # before the product, in which an inf entry warns (inf * 0)
+        if not np.isfinite(m).all():
+            raise ShapeError("propagator not unitary: non-finite entries")
         dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if not dev <= UNITARITY_TOL:
             raise ShapeError(f"propagator not unitary: deviation {dev:.3e}")

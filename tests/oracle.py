@@ -33,3 +33,14 @@ def stored_pair(rho6):
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
     return t.reshape(4, 4)
 
+
+
+def post_selected(rho6, bits):
+    """Probability of ``bits`` on slots (1, 2, 4, 5), and the state of (3, 6) given it."""
+    t = np.asarray(rho6).reshape((2,) * 12)
+    index = [slice(None)] * 6
+    for ax, bit in zip(MEASURED, bits):
+        index[ax] = int(bit)
+    block = t[tuple(index + index)].reshape(4, 4)
+    prob = np.trace(block).real
+    return prob, block / prob

@@ -141,7 +141,7 @@ def test_criterion_05_restoration():
             elapsed = rng.uniform(0.0, math.pi)
             u = evolve_composite(h, elapsed).matrix
             evolved = DensityMatrix(u @ rho @ u.conj().T)
-            restored = restore(evolved, elapsed=elapsed, j=1.0, m=1)
+            restored = restore(evolved, elapsed=elapsed, j=1.0)
             delta = restored.matrix - rho
             trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(delta)).sum()
             assert trace_distance < 1e-10
@@ -187,8 +187,8 @@ def test_criterion_08_bootstrap():
 def test_criterion_09_microscopic_validation():
     with _Budget("9 microscopic validation", 60.0):
         ell = 1.0
-        d = solve_geometry(ell, 1.0)
-        geom = CavityGeometry(g0=1.0, w=1.0, ell=ell, d=d, v=0.5, delta=50.0)
+        d = solve_geometry(ell)
+        geom = CavityGeometry(ell=ell, d=d, v=0.5, delta=50.0)
         report = xy_agreement(geom)
         assert report.distance_full_mean < 0.05
         gmax = peak_collective_coupling(geom)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from xypurify import (
     StiffnessError,
     asymptotic_hamiltonian,
     convergence_study,
-    coupling,
     integrate_effective,
     integrate_full,
     solve_geometry,
@@ -22,6 +22,7 @@ from xypurify import (
 )
 from xypurify import cavity
 from xypurify.cavity import (
+    _coupling_vector,
     _dop853,
     _mean_hamiltonian_3,
     _propagator,
@@ -33,8 +34,7 @@ from xypurify.cavity import (
 
 
 def default_geom(delta=50.0, ell=1.0, v=0.5, **kw):
-    return CavityGeometry(g0=1.0, w=1.0, ell=ell, d=solve_geometry(ell, 1.0),
-                          v=v, delta=delta, **kw)
+    return CavityGeometry(ell=ell, d=solve_geometry(ell), v=v, delta=delta, **kw)
 
 
 C3 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -44,18 +44,23 @@ C4 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
 class TestGeometry:
     def test_validation(self):
         with pytest.raises(GeometryError):
-            CavityGeometry(g0=0.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=50.0)
+            CavityGeometry(ell=1.0, d=1.0, v=0.0, delta=50.0)
         with pytest.raises(GeometryError):
-            CavityGeometry(g0=1.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=0.0)
-        # the integrator needs finite couplings and a finite, nonempty window
-        fields = dict(g0=1.0, w=1.0, ell=1.0, d=1.0, v=0.5, delta=50.0)
+            CavityGeometry(ell=1.0, d=1.0, v=0.5, delta=0.0)
+        # the integrator needs finite couplings and a finite window
+        fields = dict(ell=1.0, d=1.0, v=0.5, delta=50.0)
         for name in fields:
             for bad in (math.nan, math.inf):
                 with pytest.raises(GeometryError):
                     CavityGeometry(**{**fields, name: bad})
-        for w, v in ((1.0, 1e-320), (1e-320, 1e10), (1e308, 0.5)):
+        for d, v in ((0.0, 1e-320), (1e308, 0.5)):
             with pytest.raises(GeometryError):
-                CavityGeometry(**{**fields, "w": w, "d": 0.0, "v": v})
+                CavityGeometry(**{**fields, "d": d, "v": v})
+
+    def test_settable_fields_are_the_four_ratios(self):
+        # g0 = w = 1: Delta/g0, ell/w, d/w and v/(w g0) fix the model
+        settable = tuple(f.name for f in dataclasses.fields(CavityGeometry) if f.init)
+        assert settable == ("ell", "d", "v", "delta")
 
     def test_adiabatic_flag(self):
         assert default_geom(delta=50.0).adiabatic
@@ -69,42 +74,39 @@ class TestGeometry:
 
 
 class TestCoupling:
+    # couplings in units of g0, at axial positions in waists
     def test_peak_at_waist_center(self):
         geom = default_geom()
         t_peak = -geom.z0[0] / geom.v
-        assert coupling(geom, 1, t_peak) == pytest.approx(geom.g0, abs=1e-12)
+        assert _coupling_vector(geom, t_peak)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_trapped_atom_constant(self):
         geom = default_geom(ell=1.0)
         expect = math.exp(-1.0)
         for t in (0.0, 3.0, 17.2):
-            assert coupling(geom, 3, t) == pytest.approx(expect, abs=1e-15)
+            assert _coupling_vector(geom, t)[2] == pytest.approx(expect, abs=1e-15)
 
     def test_waist_envelope(self):
         geom = default_geom()
         t_at_w = (1.0 - geom.z0[0]) / geom.v  # z_1 = +w
-        assert coupling(geom, 1, t_at_w) == pytest.approx(geom.g0 / math.e,
-                                                          abs=1e-12)
-
-    def test_unknown_atom(self):
-        with pytest.raises(DomainError):
-            coupling(default_geom(), 4, 0.0)
+        assert _coupling_vector(geom, t_at_w)[0] == pytest.approx(1.0 / math.e,
+                                                                  abs=1e-12)
 
 
 class TestSolveGeometry:
     def test_reference_solutions(self):
-        assert solve_geometry(1.0, 1.0) == pytest.approx(
+        assert solve_geometry(1.0) == pytest.approx(
             math.sqrt(2.0 - math.log(2.0)), abs=1e-14)
-        assert solve_geometry(2.0, 1.0) == pytest.approx(
+        assert solve_geometry(2.0) == pytest.approx(
             math.sqrt(8.0 - math.log(2.0)), abs=1e-14)
 
     def test_feasibility_boundary(self):
         ell0 = math.sqrt(math.log(2.0) / 2.0)
-        assert solve_geometry(ell0, 1.0) == pytest.approx(0.0, abs=1e-7)
+        assert solve_geometry(ell0) == pytest.approx(0.0, abs=1e-7)
 
     def test_infeasible_reports_bound(self):
         with pytest.raises(GeometryError) as err:
-            solve_geometry(0.3, 1.0)
+            solve_geometry(0.3)
         assert "0.588" in str(err.value)
 
     def test_unit_coupling_achieved(self):
@@ -126,12 +128,12 @@ class TestAsymptoticCouplings:
             d = rng.uniform(0.3, 2.5)
             v = rng.uniform(0.2, 1.5)
             delta = rng.uniform(25.0, 80.0)
-            geom = CavityGeometry(g0=1.0, w=1.0, ell=ell, d=d, v=v, delta=delta)
+            geom = CavityGeometry(ell=ell, d=d, v=v, delta=delta)
             res = asymptotic_hamiltonian(geom)
             assert res.max_rel_error < 1e-6
 
     def test_degenerate_overlap(self):
-        geom = CavityGeometry(g0=1.0, w=1.0, ell=0.0, d=0.0, v=0.5, delta=50.0)
+        geom = CavityGeometry(ell=0.0, d=0.0, v=0.5, delta=50.0)
         res = asymptotic_hamiltonian(geom)
         assert res.c_matrix[0, 1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
@@ -140,18 +142,17 @@ class TestAsymptoticCouplings:
         # crosses the waist inside the window and is DEFAULT_SPAN waists from
         # it at the nearer edge, so the clipped tails are below erfc(5)
         assert math.erfc(cavity.DEFAULT_SPAN) < 1e-11
-        for w in (0.05, 0.7, 1.0, 3.3, 40.0):
-            for v in (0.01, 0.25, 1.0, 7.5):
-                for d in (0.0, 0.3 * w, w, 4.2 * w):
-                    geom = CavityGeometry(g0=1.0, w=w, ell=w, d=d, v=v, delta=50.0)
-                    t_a, t_b = geom.window()
-                    assert t_a < t_b
-                    reach = math.inf
-                    for z in geom.z0:
-                        za, zb = z + v * t_a, z + v * t_b
-                        assert za < 0.0 < zb
-                        reach = min(reach, abs(za) / w, abs(zb) / w)
-                    assert reach == pytest.approx(cavity.DEFAULT_SPAN, abs=1e-12)
+        for v in (0.01, 0.25, 1.0, 7.5):
+            for d in (0.0, 0.3, 1.0, 4.2):
+                geom = CavityGeometry(ell=1.0, d=d, v=v, delta=50.0)
+                t_a, t_b = geom.window()
+                assert t_a < t_b
+                reach = math.inf
+                for z in geom.z0:
+                    za, zb = z + v * t_a, z + v * t_b
+                    assert za < 0.0 < zb
+                    reach = min(reach, abs(za), abs(zb))
+                assert reach == pytest.approx(cavity.DEFAULT_SPAN, abs=1e-12)
 
     def test_t_prime(self):
         geom = default_geom(v=0.5)
@@ -160,8 +161,8 @@ class TestAsymptoticCouplings:
 
 class TestFullIntegration:
     def test_no_coupling_freezes_amplitudes(self):
-        geom = CavityGeometry(g0=1e-300, w=1.0, ell=1.0, d=1.0, v=0.5,
-                              delta=50.0)
+        # a transit of 1e-11 / g0 leaves no time for the couplings to act
+        geom = CavityGeometry(ell=1.0, d=1.0, v=1e12, delta=50.0)
         traj = integrate_full(geom, C4)
         np.testing.assert_allclose(traj.endpoint, C4, atol=1e-9)
 
@@ -216,7 +217,7 @@ class TestEffectiveIntegration:
     def test_generator_definition(self):
         geom = default_geom()
         t = 0.5 * sum(geom.window())
-        g = np.array([coupling(geom, k, t) for k in (1, 2, 3)])
+        g = _coupling_vector(geom, t)
         np.testing.assert_allclose(effective_generator(geom, t),
                                    np.outer(g, g) / geom.delta, atol=1e-15)
 
@@ -245,7 +246,7 @@ class TestEffectiveIntegration:
     def test_peak_collective_coupling_matches_sample_loop(self):
         for geom in (default_geom(), default_geom(v=0.25, ell=1.3)):
             t_a, t_b = geom.window()
-            loop = max(math.sqrt(sum(coupling(geom, k, t) ** 2 for k in (1, 2, 3)))
+            loop = max(math.sqrt(sum(g ** 2 for g in _coupling_vector(geom, t)))
                        for t in np.linspace(t_a, t_b, 2001))
             assert peak_collective_coupling(geom) == pytest.approx(loop, rel=0, abs=1e-15)
 
@@ -339,16 +340,16 @@ class TestScipyReference:
     def test_gauss_legendre_matches_quad(self):
         rng = np.random.default_rng(29)
         for _ in range(18):
-            geom = CavityGeometry(g0=1.0, w=1.0, ell=rng.uniform(0.6, 2.0),
+            geom = CavityGeometry(ell=rng.uniform(0.6, 2.0),
                                   d=rng.uniform(0.3, 2.5), v=rng.uniform(0.2, 1.5),
                                   delta=rng.choice([-1.0, 1.0]) * rng.uniform(25.0, 80.0))
             c = asymptotic_hamiltonian(geom).c_matrix
             t_a, t_b = geom.window()
-            scale = geom.g0 ** 2 * math.exp(-(geom.ell / geom.w) ** 2) * geom.t_prime
-            for i, k in ((1, 2), (1, 3), (2, 3)):
-                val, _ = quad(lambda t: coupling(geom, i, t) * coupling(geom, k, t),
-                              t_a, t_b, limit=200)
-                assert c[i - 1, k - 1] == pytest.approx(val / scale, rel=1e-14, abs=0)
+            scale = math.exp(-geom.ell ** 2) * geom.t_prime
+            for i, k in ((0, 1), (0, 2), (1, 2)):
+                val, _ = quad(lambda t: _coupling_vector(geom, t)[i]
+                              * _coupling_vector(geom, t)[k], t_a, t_b, limit=200)
+                assert c[i, k] == pytest.approx(val / scale, rel=1e-14, abs=0)
 
     def test_eigh_propagator_matches_expm(self):
         for delta in (20.0, -50.0, 100.0):

@@ -217,8 +217,7 @@ class TestValidateCavityCommand:
         traj = tmp_path / "traj.csv"
         run_ok(runner, ["validate-cavity", "--delta", "-50", "--ell", "1.0",
                         "--dump-trajectory", str(traj)])
-        geom = cavity.CavityGeometry(g0=1.0, w=1.0, ell=1.0,
-                                     d=cavity.solve_geometry(1.0, 1.0), v=0.5,
+        geom = cavity.CavityGeometry(ell=1.0, d=cavity.solve_geometry(1.0), v=0.5,
                                      delta=-50.0)
         direct = cavity.integrate_full(geom, np.array([0, 1, 0, 0], dtype=complex))
         rows = [line.split(",") for line in traj.read_text().splitlines()[1:]]

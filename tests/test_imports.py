@@ -19,7 +19,7 @@ HEAVY = ("scipy", "concurrent.futures.process")
 CAVITY_NAMES = (
     "AgreementReport", "AsymptoticCouplings",
     "CavityGeometry", "Trajectory", "asymptotic_hamiltonian",
-    "convergence_study", "coupling", "integrate_effective", "integrate_full",
+    "convergence_study", "integrate_effective", "integrate_full",
     "solve_geometry", "xy_agreement",
 )
 
@@ -30,8 +30,7 @@ PUBLIC_API = (
     "BellDecomposition", "BelowThresholdWarning", "CavityGeometry",
     "CnotRoundResult", "ComparisonRow", "ConfigurationError",
     "DegenerateCouplingError", "DensityMatrix", "DomainError",
-    "EvolutionOperator", "GeometryError", "NegativeDurationError",
-    "OperationalTime", "ProtocolConfig", "ProtocolStats", "PumpRound",
+    "EvolutionOperator", "GeometryError", "OperationalTime", "ProtocolConfig", "ProtocolStats", "PumpRound",
     "PumpTrace", "RoundFormulas", "RoundInput", "RoundResult",
     "SaturationRow", "ShapeError", "StateValidationError", "StiffnessError",
     "Trajectory", "U_MINUS", "U_PLUS", "XYHamiltonian", "XyPurifyError",
@@ -39,7 +38,7 @@ PUBLIC_API = (
     "bell_diagonal_map", "bootstrap_round", "build_xy", "cavity",
     "closed_form_cnot", "closed_form_fidelity", "closed_form_general",
     "closed_form_success", "cnot", "cnot_round", "comparison_table",
-    "computational_pair", "convergence_study", "coupling", "errors",
+    "computational_pair", "convergence_study", "errors",
     "evolve_composite", "evolve_triplet", "expected_attempts", "fidelity",
     "fixed_point", "integrate_effective", "integrate_full", "montecarlo",
     "operational_time", "optimal_rounds", "pump", "pumping",

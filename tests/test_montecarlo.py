@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -217,6 +218,19 @@ class TestBatch:
         batch = simulate_batch(cfg, 10, workers=64)
         assert sizes == [10]
         assert batch.attempts_per_trial == simulate_batch(cfg, 10).attempts_per_trial
+
+        # chunk bounds follow the trials, not the worker count: 10**6 workers
+        # on 3 trials used to build a million-entry grid (16 MB, 2 s)
+        simulate_batch(cfg, 3, workers=3)  # first-use allocations stay out
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(cfg, 3, workers=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes[-1] == 3
+        assert peak < 2_000_000
+        assert batch.attempts_per_trial == simulate_batch(cfg, 3).attempts_per_trial
 
     def test_matches_analytic_attempts(self):
         batch = simulate_batch(config(seed=2024), 20_000)

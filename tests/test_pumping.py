@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,7 @@ from xypurify import (
     saturation_table,
     werner,
 )
+from xypurify.pumping import EPSILON_DEFAULT
 
 
 class TestPump:
@@ -101,7 +100,7 @@ class TestPump:
 
 class TestPumpTraceSummary:
     @staticmethod
-    def expected_trace(f, n, epsilon):
+    def expected_trace(f, n):
         rounds, current = [], f
         for k in range(1, n + 1):
             step = closed_form_general(f, current)
@@ -111,12 +110,11 @@ class TestPumpTraceSummary:
             current = step.fidelity
         return PumpTrace(f=f, rounds=tuple(rounds), f_hat=current - f,
                          fixed_point=fixed_point(f),
-                         n_optimal=optimal_rounds(f, epsilon))
+                         n_optimal=optimal_rounds(f))
 
-    @pytest.mark.parametrize("epsilon", [1e-3, 5e-3, 1e-6])
-    def test_trace_unchanged_on_grid(self, epsilon):
+    def test_trace_unchanged_on_grid(self):
         for f in np.linspace(0.51, 1.0, 25):
-            assert pump(f, 6, epsilon=epsilon) == self.expected_trace(f, 6, epsilon)
+            assert pump(f, 6) == self.expected_trace(f, 6)
 
     def test_fixed_point_searched_once(self, monkeypatch):
         import xypurify.pumping as pumping
@@ -127,15 +125,6 @@ class TestPumpTraceSummary:
         for mode in ("closed_form", "simulation"):
             pump(0.75, 3, mode=mode)
         assert calls == [0.75, 0.75]
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(DomainError):
-            pump(0.75, 2, epsilon=0.0)
-
-    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])  # 0: above
-    def test_epsilon_positive_and_finite(self, epsilon):
-        with pytest.raises(DomainError, match="epsilon"):
-            pump(0.75, 2, epsilon=epsilon)
 
 
 class TestThresholdBehavior:
@@ -189,30 +178,23 @@ class TestFixedPoint:
 
 class TestOptimalRounds:
     def test_saturation_after_four_rounds(self):
-        assert optimal_rounds(0.75, 0.005) == 4
+        # F_4 is the first fidelity within 0.005 of the fixed point
+        gaps = [fixed_point(0.75) - x for x in pump(0.75, 4).fidelities]
+        assert [gap < 0.005 for gap in gaps] == [False] * 4 + [True]
 
     def test_default_epsilon(self):
-        assert optimal_rounds(0.75, 1e-3) == 6
+        assert EPSILON_DEFAULT == 1e-3
+        assert optimal_rounds(0.75) == 6
 
     def test_zero_rounds_when_close_enough(self):
-        gap = fixed_point(0.75) - 0.75
-        assert optimal_rounds(0.75, gap + 1e-6) == 0
+        # f = 0.999 starts 7.5e-4 below its fixed point, f = 0.998 1.5e-3
+        assert 0.0 < fixed_point(0.999) - 0.999 < EPSILON_DEFAULT
+        assert optimal_rounds(0.999) == 0
+        assert fixed_point(0.998) - 0.998 > EPSILON_DEFAULT
+        assert optimal_rounds(0.998) == 1
 
     def test_perfect_needs_one_round(self):
-        for eps in (0.4, 0.1, 1e-6):
-            assert optimal_rounds(1.0, eps) <= 1
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(DomainError):
-            optimal_rounds(0.75, 0.0)
-
-    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])  # 0: above
-    def test_epsilon_positive_and_finite(self, epsilon, monkeypatch):
-        # rejected before the walk: no round of the recurrence is taken
-        import xypurify.pumping as pumping
-        monkeypatch.setattr(pumping, "closed_form_general", None)
-        with pytest.raises(DomainError, match="epsilon"):
-            optimal_rounds(0.75, epsilon)
+        assert optimal_rounds(1.0) <= 1
 
 
 class TestSaturationTable:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from xypurify import (
     DensityMatrix,
     DomainError,
-    NegativeDurationError,
     RoundInput,
     ZeroProbabilityError,
     bell_decompose,
@@ -21,6 +20,7 @@ from xypurify import (
     closed_form_general,
     closed_form_success,
     cnot_round,
+    computational_pair,
     evolve_composite,
     fidelity,
     operational_time,
@@ -32,7 +32,7 @@ from xypurify import (
 from xypurify import rounds
 from xypurify.states import BELL_ORDER, BELL_PROJECTORS
 
-from oracle import six_qubit_state, stored_pair
+from oracle import post_selected, six_qubit_state, stored_pair
 
 T = operational_time(1.0).t  # pi/6
 
@@ -201,19 +201,30 @@ class TestRunRound:
         assert p0101 == pytest.approx(p1010, abs=1e-12)
 
     def test_conditioning_identical_across_accepted_outcomes(self):
-        # for Bell-diagonal stationary states either accepted outcome
-        # leaves the same stored state
-        inp = make_input(0.8, 0.7, T)
-        res_a = run_round(inp, predefined_outcome="0101")
-        res_b = run_round(inp, predefined_outcome="1010")
-        np.testing.assert_allclose(res_a.post_state.matrix,
-                                   res_b.post_state.matrix, atol=1e-12)
+        # run_round keeps the 0101 branch; the oracle's evolved six-qubit
+        # state gives both branches.  They agree for any stored pair, the
+        # bootstrap's |00> and a random state included
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        mixed = a @ a.conj().T
+        u = evolve_composite(build_xy(1.0), T).matrix
+        for stored in (werner(0.7), computational_pair("00"),
+                       DensityMatrix(mixed / np.trace(mixed))):
+            result = run_round(RoundInput(f=0.8, stationary_state=stored, t0=T))
+            rho6 = six_qubit_state(werner(0.8).matrix, werner(0.8).matrix,
+                                   stored.matrix)
+            for bits in ("0101", "1010"):
+                prob, post = post_selected(u @ rho6 @ u.conj().T, bits)
+                assert prob == pytest.approx(result.success_probability, abs=1e-12)
+                np.testing.assert_allclose(post, result.post_state.matrix,
+                                           atol=1e-12)
 
-    def test_zero_probability_branch(self):
+    def test_zero_probability_branch(self, monkeypatch):
         # with perfect pairs and no evolution, outcome 0001 requires
         # anti-correlated bits on a perfectly correlated pair
+        monkeypatch.setattr(rounds, "PREDEFINED_OUTCOME", "0001")
         with pytest.raises(ZeroProbabilityError):
-            run_round(make_input(1.0, 1.0, 0.0), predefined_outcome="0001")
+            run_round(make_input(1.0, 1.0, 0.0))
 
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_lost_or_nan_weight_is_zero_probability(self, monkeypatch, fill):
@@ -223,11 +234,6 @@ class TestRunRound:
         monkeypatch.setattr(rounds, "evolve_composite", lambda h, t: propagator)
         with pytest.raises(ZeroProbabilityError):
             run_round(make_input(0.8, 0.7, T))
-
-    def test_malformed_outcome_rejected(self):
-        for bits in ("01", "01a1", "01010"):
-            with pytest.raises(DomainError):
-                run_round(make_input(0.8, 0.7, T), predefined_outcome=bits)
 
     def test_validates_only_two_qubit_states(self, monkeypatch):
         # the six-qubit state of run_round and the four-qubit state of
@@ -324,7 +330,7 @@ class TestRestore:
     def test_restores_after_gate_time(self):
         rng = np.random.default_rng(5)
         original, evolved = self.evolved_composite(rng, T)
-        restored = restore(evolved, elapsed=T, j=1.0, m=1)
+        restored = restore(evolved, elapsed=T, j=1.0)
         np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
         np.testing.assert_allclose(stored_pair(restored.matrix),
                                    stored_pair(original.matrix), atol=1e-11)
@@ -332,10 +338,8 @@ class TestRestore:
     def test_zero_elapsed_unchanged(self):
         rng = np.random.default_rng(6)
         original, _ = self.evolved_composite(rng, 0.0)
-        for m in (1, 3):
-            restored = restore(original, elapsed=0.0, j=1.0, m=m)
-            np.testing.assert_allclose(restored.matrix, original.matrix,
-                                       atol=1e-11)
+        restored = restore(original, elapsed=0.0, j=1.0)
+        np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
 
     def test_default_m_is_smallest_period(self):
         rng = np.random.default_rng(7)
@@ -349,12 +353,6 @@ class TestRestore:
         _, evolved = self.evolved_composite(np.random.default_rng(9), T)
         with pytest.raises(DomainError):
             restore(evolved, elapsed=elapsed, j=1.0)
-
-    def test_negative_duration(self):
-        rng = np.random.default_rng(8)
-        _, evolved = self.evolved_composite(rng, 1.5 * np.pi)
-        with pytest.raises(NegativeDurationError):
-            restore(evolved, elapsed=1.5 * np.pi, j=1.0, m=1)
 
 
 class TestBootstrap:

@@ -127,8 +127,10 @@ class TestEvolution:
         u = evolve_triplet(build_xy(1.0), 4e307).matrix
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), complex(np.nan, 1.0)])
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), complex(np.nan, 1.0),
+                                     np.inf, complex(0.0, -np.inf)])
     def test_nan_propagator_rejected(self, bad):
+        # inf too, with no RuntimeWarning from the unitarity product
         m = np.eye(8, dtype=complex)
         m[3, 5] = bad
         with pytest.raises(ShapeError, match="not unitary"):
