@@ -27,7 +27,6 @@ from .errors import (
     AnalysisError,
     BelowThresholdWarning,
     ConfigurationError,
-    DegenerateCouplingError,
     DomainError,
     GeometryError,
     ShapeError,
@@ -78,8 +77,6 @@ from .states import (
 )
 from .xy import (
     EvolutionOperator,
-    XYHamiltonian,
-    build_xy,
     evolve_composite,
     evolve_triplet,
 )

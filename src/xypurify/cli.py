@@ -105,7 +105,7 @@ def main() -> None:
 @click.option("--fprime", type=float, required=True,
               help="Fidelity of the stored (stationary) Werner pair.")
 @click.option("--jt0", type=float, default=None,
-              help="Dimensionless evolution time J*t0.")
+              help="Evolution time J*t0, in units J = 1 (either sign).")
 @click.option("--at-T", "at_t", is_flag=True,
               help="Evolve for the operational time J*T = pi/3 (n + 1/2).")
 @click.option("--n", "n_index", type=int, default=0, show_default=True,
@@ -119,20 +119,20 @@ def cmd_round(f: float, fprime: float, jt0: float | None, at_t: bool,
     """Simulate one purification round and compare to the closed forms."""
     if (jt0 is None) == (not at_t):
         raise click.UsageError("specify exactly one of --jt0 / --at-T")
-    j = 1.0
-    t0 = rounds.operational_time(j, n_index).t if at_t else jt0 / j
+    if at_t:
+        jt0 = rounds.operational_time(1.0, n_index).t
     stationary = werner(fprime)
     result = rounds.run_round(rounds.RoundInput(f=f, stationary_state=stationary,
-                                                t0=t0, j=j))
+                                                t0=jt0))
     payload = {
         "f": f,
         "fprime": fprime,
-        "jt0": j * t0,
+        "jt0": jt0,
         "fidelity": result.fidelity,
         "success_probability": result.success_probability,
         "werner_deviation": result.werner_deviation,
-        "closed_form_fidelity": rounds.closed_form_fidelity(t0, f, j),
-        "closed_form_success": rounds.closed_form_success(t0, f, j),
+        "closed_form_fidelity": rounds.closed_form_fidelity(jt0, f),
+        "closed_form_success": rounds.closed_form_success(jt0, f),
     }
     if at_t:
         general = rounds.closed_form_general(f, fprime)

@@ -23,10 +23,6 @@ class StateValidationError(XyPurifyError, ValueError):
     """Density matrix violates hermiticity, unit trace, or positivity."""
 
 
-class DegenerateCouplingError(DomainError):
-    """Spin-spin coupling J = 0 leaves the dynamics undefined."""
-
-
 class GeometryError(XyPurifyError, ValueError):
     """Cavity geometry is infeasible or inconsistent."""
 

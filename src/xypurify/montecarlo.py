@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import islice, zip_longest
@@ -38,6 +39,7 @@ GATE_TIME_DEFAULT = math.pi / 6.0          # units of 1/J, one gate at n = 0
 RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
 MESSAGES_PER_ATTEMPT = 2
 MAX_EXPECTED_ATTEMPTS = 10**6    # bound on a config's mean attempts per trial
+MAX_TRIALS = 10**6               # bound on a batch's trials, checked before any draw
 
 
 def _check_count(name: str, value) -> None:
@@ -265,21 +267,26 @@ def simulate_batch(config: ProtocolConfig, trials: int,
     """Run ``trials`` independent protocol executions and aggregate.
 
     Identical results for any worker count: trial streams depend only
-    on (seed, trial index) and aggregation is in trial order.
+    on (seed, trial index) and aggregation is in trial order.  Runs
+    ``min(workers, trials, os.cpu_count())`` chunks, each in its own
+    process; one chunk runs in this process.
     """
     _check_count("trials", trials)
     _check_count("workers", workers)
+    # before the per-trial arrays, whose length is ``trials``
+    if trials > MAX_TRIALS:
+        raise ConfigurationError(f"trials is above the bound of {MAX_TRIALS}")
 
-    if workers == 1:
+    chunks = min(workers, trials, os.cpu_count() or 1)
+    if chunks == 1:
         run = _run_chunk(config, range(trials))
     else:
         from concurrent.futures import ProcessPoolExecutor
-        # at most one chunk per trial, so every span is non-empty and the
-        # spans never outnumber the trials, however large ``workers`` is
-        bounds = np.linspace(0, trials, min(workers, trials) + 1, dtype=int)
+        # at most one chunk per trial, so every span is non-empty
+        bounds = np.linspace(0, trials, chunks + 1, dtype=int)
         spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         # the pool forks max_workers processes up front; one per chunk
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
             run = _join(list(pool.map(functools.partial(_run_chunk, config), spans)))
 
     def halfwidth(x: np.ndarray) -> float:

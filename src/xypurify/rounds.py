@@ -9,6 +9,12 @@ conditioned on the predefined outcome.  These positions are the only
 slot bookkeeping: the six-qubit arrays run over slots 1..6 in order,
 and the returned pair is the 4x4 matrix of slots (3, 6).
 
+Units: like :mod:`xypurify.xy`, this module works in units J = 1, so
+every time it takes (t0, and the elapsed time of :func:`restore`) is
+J t.  :func:`operational_time` alone takes the coupling J: it is the
+one conversion of J T = pi/3 (n + 1/2) into T, and at J = 1 it returns
+the t0 the other functions take.
+
 Outcome convention
 ------------------
 The two outcomes 0101 and 1010 (slot order 1,2,4,5) both herald
@@ -38,7 +44,7 @@ from .states import (
     computational_pair,
     fidelity,
 )
-from .xy import _check_coupling, build_xy, evolve_composite
+from .xy import evolve_composite
 
 MEASURED_SLOTS = (1, 2, 4, 5)
 PREDEFINED_OUTCOME = "0101"
@@ -54,7 +60,9 @@ class OperationalTime:
 
 
 def operational_time(j: float, n: int = 0) -> OperationalTime:
-    _check_coupling(j)
+    """T = pi/3 (n + 1/2) / J; J may take either sign but not zero."""
+    if j == 0 or not math.isfinite(j):
+        raise DomainError(f"coupling J must be finite and nonzero, got {j}")
     if n < 0:
         raise DomainError(f"time index n must be >= 0, got {n}")
     return OperationalTime(n, math.pi * (n + 0.5) / (3.0 * j))
@@ -67,14 +75,12 @@ class RoundInput:
     f: float
     stationary_state: DensityMatrix
     t0: float
-    j: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.f <= 1.0:
             raise DomainError(f"conveyed-pair fidelity must lie in [0,1], got {self.f}")
         if self.stationary_state.dim != 4:
             raise ShapeError("stationary state must be a two-qubit density matrix")
-        _check_coupling(self.j)
         if not np.isfinite(self.t0):
             raise DomainError(f"evolution time must be finite, got {self.t0}")
 
@@ -106,7 +112,7 @@ def run_round(inp: RoundInput) -> RoundResult:
     pair = _werner_matrix(inp.f).reshape(2, 2, 2, 2)
     stat = inp.stationary_state.matrix.reshape(2, 2, 2, 2)
     rho6 = np.einsum("adAD,beBE,cfCF->abcdefABCDEF", pair, pair, stat)
-    u = evolve_composite(build_xy(inp.j), inp.t0).matrix
+    u = evolve_composite(inp.t0).matrix
     evolved = u @ rho6.reshape(64, 64) @ u.conj().T
     # diagonal as (1,2,4,5 | 3,6): row k sums the block of outcome k
     diag = np.diagonal(evolved).reshape(2, 2, 2, 2, 2, 2)
@@ -129,14 +135,14 @@ def run_round(inp: RoundInput) -> RoundResult:
     )
 
 
-def _cosines(t0: float, j: float) -> tuple[float, float]:
-    """cos(6 J t0) and cos(12 J t0), for a finite phase 12 J t0 only."""
-    if not math.isfinite(12.0 * j * t0):
-        raise DomainError(f"evolution time J t0 must be finite, got t0={t0}, J={j}")
-    return math.cos(6.0 * j * t0), math.cos(12.0 * j * t0)
+def _cosines(t0: float) -> tuple[float, float]:
+    """cos(6 t0) and cos(12 t0), for a finite phase 12 t0 only."""
+    if not math.isfinite(12.0 * t0):
+        raise DomainError(f"evolution time J t0 must be finite, got t0={t0}")
+    return math.cos(6.0 * t0), math.cos(12.0 * t0)
 
 
-def closed_form_fidelity(t0: float, f: float, j: float = 1.0) -> float:
+def closed_form_fidelity(t0: float, f: float) -> float:
     """Analytic post-selected fidelity for Werner inputs with f' = f.
 
     Rational-trigonometric in cos(6 J t0) and cos(12 J t0); equals f at
@@ -155,7 +161,7 @@ def closed_form_fidelity(t0: float, f: float, j: float = 1.0) -> float:
     """
     if not 0.0 <= f <= 1.0:
         raise DomainError(f"fidelity must lie in [0,1], got {f}")
-    c6, c12 = _cosines(t0, j)
+    c6, c12 = _cosines(t0)
     num = (f - 38.0 * f * f - 8.0
            + 8.0 * (1.0 - 5.0 * f + 4.0 * f * f) * c6
            - 12.0 * f * (4.0 * f - 1.0) * c12)
@@ -165,7 +171,7 @@ def closed_form_fidelity(t0: float, f: float, j: float = 1.0) -> float:
     return num / den
 
 
-def closed_form_success(t0: float, f: float, j: float = 1.0) -> float:
+def closed_form_success(t0: float, f: float) -> float:
     """Analytic single-outcome success probability for f' = f.
 
     It is -(1 + 2f) / 972 times the denominator of
@@ -173,7 +179,7 @@ def closed_form_success(t0: float, f: float, j: float = 1.0) -> float:
     """
     if not 0.0 <= f <= 1.0:
         raise DomainError(f"fidelity must lie in [0,1], got {f}")
-    c6, c12 = _cosines(t0, j)
+    c6, c12 = _cosines(t0)
     return (1.0 + 2.0 * f) * (
         47.0 - 34.0 * f + 32.0 * f * f
         - 16.0 * (1.0 - 5.0 * f + 4.0 * f * f) * c6
@@ -209,7 +215,7 @@ def closed_form_general(f: float, f_prime: float) -> RoundFormulas:
 
 # Bell-weight round map at t0 = T, times 2916 = 3 * 972: M(f) =
 # (A + B f + C f^2) / 2916, rows and columns in BELL_ORDER.  Derived
-# from run_round on the four Bell projectors; independent of J.
+# from run_round on the four Bell projectors.
 _BELL_MAP_A = np.array([[33, 0, 72, 72], [0, 113, 8, 8],
                         [72, 8, 89, 32], [72, 8, 32, 89]])
 _BELL_MAP_B = np.array([[-12, 96, -120, -120], [96, -172, 200, 200],
@@ -233,28 +239,26 @@ def bell_diagonal_map(f: float) -> np.ndarray:
     return (_BELL_MAP_A + f * _BELL_MAP_B + f * f * _BELL_MAP_C) / 2916.0
 
 
-def restore(state: DensityMatrix, elapsed: float, j: float) -> DensityMatrix:
-    """Complete an evolution of length ``elapsed`` to a full period m*pi/|J|.
+def restore(state: DensityMatrix, elapsed: float) -> DensityMatrix:
+    """Complete an evolution of length ``elapsed`` to a full period m*pi.
 
-    The propagator is the exact identity at multiples of pi/J, so
-    evolving the six-qubit state for (m*pi/|J| - elapsed) undoes the
-    partial evolution without any measurement or feedback.  m is the
-    smallest positive integer with m*pi/|J| >= elapsed less 1e-12
-    periods, so the remaining time is never shorter than -1e-12 periods.
+    The propagator is the exact identity at multiples of pi, so evolving
+    the six-qubit state for (m*pi - elapsed) undoes the partial
+    evolution without any measurement or feedback.  m is the smallest
+    positive integer with m*pi >= elapsed less 1e-12 periods, so the
+    remaining time is never shorter than -1e-12 periods.
     """
     if state.dim != 64:
         raise ShapeError("restore acts on the full six-qubit state")
-    _check_coupling(j)
     if not math.isfinite(elapsed):
         raise DomainError(f"elapsed time must be finite, got {elapsed}")
-    period = math.pi / abs(j)
-    m = max(1, math.ceil(elapsed / period - 1e-12))
-    remaining = m * period - elapsed
-    u = evolve_composite(build_xy(j), remaining)
+    m = max(1, math.ceil(elapsed / math.pi - 1e-12))
+    remaining = m * math.pi - elapsed
+    u = evolve_composite(remaining)
     return DensityMatrix(u.matrix @ state.matrix @ u.matrix.conj().T)
 
 
-def bootstrap_round(f: float, t0: float, j: float = 1.0) -> RoundResult:
+def bootstrap_round(f: float, t0: float) -> RoundResult:
     """First round seeded with the stationary pair in |00><00|.
 
     Requires f > 1/2; the output carries a real phi+/phi- coherence
@@ -263,5 +267,5 @@ def bootstrap_round(f: float, t0: float, j: float = 1.0) -> RoundResult:
     if not 0.5 < f <= 1.0:
         raise DomainError(f"bootstrap needs f in (0.5, 1], got {f}")
     seed = computational_pair("00")
-    return run_round(RoundInput(f=f, stationary_state=seed, t0=t0, j=j))
+    return run_round(RoundInput(f=f, stationary_state=seed, t0=t0))
 

@@ -2,15 +2,18 @@
 
 The generator used throughout the protocol code is
 
-    H(J) = J * sum_{i=1..3} (x_i x_{i+1} + y_i y_{i+1}),   site 4 == site 1,
+    H = J * sum_{i=1..3} (x_i x_{i+1} + y_i y_{i+1}),   site 4 == site 1,
 
-i.e. hopping amplitude 2J between every pair of the triangle.  This
-coupling convention is fixed by the protocol's quantitative behavior:
-the single-round closed forms oscillate as cos(6 J t) and cos(12 J t),
-the operational time satisfies J T = pi/3 (n + 1/2), and the evolution
-operator returns to the exact identity at t = m pi / J, which is what
-makes failed rounds restorable.  The single-excitation block then has
-eigenvalues {4J, -2J, -2J}.
+i.e. hopping amplitude 2J between every pair of the triangle.  The
+ring layer works in units J = 1, so times are in units of 1/J: the
+protocol depends on J and t only through J t.  This coupling convention
+is fixed by the protocol's quantitative behavior: the single-round
+closed forms oscillate as cos(6 J t) and cos(12 J t), the operational
+time satisfies J T = pi/3 (n + 1/2), and the evolution operator returns
+to the exact identity at J t = m pi, which is what makes failed rounds
+restorable.  The single-excitation block then has eigenvalues
+{4J, -2J, -2J}.  A ring of coupling J evolved for t is the unit ring
+evolved for J t, a negative J included.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCouplingError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -35,7 +38,7 @@ def _op_on(op: np.ndarray, site: int) -> np.ndarray:
 
 
 def _xy_unit() -> np.ndarray:
-    """sum over ring bonds of (XX + YY), coupling set to 1."""
+    """H in units J = 1: sum over ring bonds of (XX + YY)."""
     h = np.zeros((8, 8), dtype=complex)
     for i, j in ((0, 1), (1, 2), (2, 0)):
         h += _op_on(PAULI_X, i) @ _op_on(PAULI_X, j)
@@ -48,35 +51,9 @@ _XY_UNIT.setflags(write=False)
 
 
 @dataclass(frozen=True)
-class XYHamiltonian:
-    """Ring-exchange Hamiltonian for one atomic triplet."""
-
-    j: float
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-
-
-def _check_coupling(j: float) -> None:
-    """The coupling J of every entry point: finite and nonzero, either sign."""
-    if j == 0:
-        raise DegenerateCouplingError("coupling J must be nonzero")
-    if not math.isfinite(j):
-        raise DomainError(f"coupling J must be finite, got {j}")
-
-
-def build_xy(j: float) -> XYHamiltonian:
-    """Construct H(J); J may take either sign but not zero."""
-    _check_coupling(j)
-    return XYHamiltonian(j, j * _XY_UNIT)
-
-
-@dataclass(frozen=True)
 class EvolutionOperator:
     """Unitary propagator for a fixed evolution time."""
 
-    t: float
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -92,21 +69,21 @@ class EvolutionOperator:
         m.setflags(write=False)
 
 
-def evolve_triplet(h: XYHamiltonian, t: float) -> EvolutionOperator:
-    """exp(-i H t) for one triplet via Hermitian eigendecomposition.
+def evolve_triplet(t: float) -> EvolutionOperator:
+    """exp(-i H t) for one triplet via Hermitian eigendecomposition, t in 1/J.
 
     Raises :class:`DomainError` unless the largest phase |w| t is finite,
     which rejects a non-finite t and a finite one whose phase overflows.
     Python floats overflow to inf without numpy's RuntimeWarning.
     """
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(_XY_UNIT)
     if not math.isfinite(t * float(np.abs(w).max())):
-        raise DomainError(f"evolution phase must be finite, got t={t} for J={h.j}")
+        raise DomainError(f"evolution phase must be finite, got t={t}")
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return EvolutionOperator(t, u)
+    return EvolutionOperator(u)
 
 
-def evolve_composite(h: XYHamiltonian, t: float) -> EvolutionOperator:
+def evolve_composite(t: float) -> EvolutionOperator:
     """Propagator for two identical triplets, slots (1,2,3) x (4,5,6)."""
-    u3 = evolve_triplet(h, t).matrix
-    return EvolutionOperator(t, np.kron(u3, u3))
+    u3 = evolve_triplet(t).matrix
+    return EvolutionOperator(np.kron(u3, u3))

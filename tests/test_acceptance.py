@@ -18,7 +18,6 @@ from xypurify import (
     RoundInput,
     bell_decompose,
     bootstrap_round,
-    build_xy,
     closed_form_cnot,
     closed_form_fidelity,
     closed_form_general,
@@ -73,7 +72,7 @@ def quiet_werner(f):
 
 def werner_round(f, fprime, t0):
     return run_round(RoundInput(f=f, stationary_state=quiet_werner(fprime),
-                                t0=t0, j=1.0))
+                                t0=t0))
 
 
 def coherence(rho):
@@ -134,14 +133,13 @@ def test_criterion_04_werner_preservation():
 def test_criterion_05_restoration():
     with _Budget("5 restoration", 30.0):
         rng = np.random.default_rng(505)
-        h = build_xy(1.0)
         for _ in range(100):
             rho = six_qubit_state(*(random_bell_diagonal(rng).matrix
                                     for _ in range(3)))
             elapsed = rng.uniform(0.0, math.pi)
-            u = evolve_composite(h, elapsed).matrix
+            u = evolve_composite(elapsed).matrix
             evolved = DensityMatrix(u @ rho @ u.conj().T)
-            restored = restore(evolved, elapsed=elapsed, j=1.0)
+            restored = restore(evolved, elapsed=elapsed)
             delta = restored.matrix - rho
             trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(delta)).sum()
             assert trace_distance < 1e-10
@@ -177,7 +175,7 @@ def test_criterion_08_bootstrap():
         coherences = [abs(coherence(state))]
         for _ in range(5):
             state = run_round(RoundInput(f=0.75, stationary_state=state,
-                                         t0=T, j=1.0)).post_state
+                                         t0=T)).post_state
             coherences.append(abs(coherence(state)))
         assert all(b < a for a, b in zip(coherences, coherences[1:]))
         assert coherences[-1] < 1e-3

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from xypurify import cavity
 from xypurify.cli import main
+from xypurify.montecarlo import MAX_TRIALS
 
 
 @pytest.fixture()
@@ -349,6 +350,19 @@ class TestMonteCarloCommand:
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"] == "ConfigurationError"
         assert f"config key {key!r} must be a finite number" in err["message"]
+
+    @pytest.mark.parametrize("literal", [str(MAX_TRIALS + 1), "1" + "0" * 400],
+                             ids=["above-bound", "400-digits"])
+    def test_oversized_trials_exit_2(self, runner, tmp_path, literal):
+        # rejected before any array of that length is allocated; a
+        # 400-digit count used to end in an OverflowError traceback
+        path = self.make_config(tmp_path, trials="@")
+        path.write_text(path.read_text().replace('"@"', literal))
+        result = runner.invoke(main, ["montecarlo", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigurationError"
+        assert "above the bound" in err["message"]
 
     def test_non_object_config_exit_2(self, runner, tmp_path):
         path = tmp_path / "config.json"

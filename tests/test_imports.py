@@ -29,13 +29,13 @@ PUBLIC_API = (
     "AgreementReport", "AnalysisError", "AsymptoticCouplings", "BatchStats",
     "BellDecomposition", "BelowThresholdWarning", "CavityGeometry",
     "CnotRoundResult", "ComparisonRow", "ConfigurationError",
-    "DegenerateCouplingError", "DensityMatrix", "DomainError",
+    "DensityMatrix", "DomainError",
     "EvolutionOperator", "GeometryError", "OperationalTime", "ProtocolConfig", "ProtocolStats", "PumpRound",
     "PumpTrace", "RoundFormulas", "RoundInput", "RoundResult",
     "SaturationRow", "ShapeError", "StateValidationError", "StiffnessError",
-    "Trajectory", "U_MINUS", "U_PLUS", "XYHamiltonian", "XyPurifyError",
+    "Trajectory", "U_MINUS", "U_PLUS", "XyPurifyError",
     "ZeroProbabilityError", "asymptotic_hamiltonian", "bell_decompose",
-    "bell_diagonal_map", "bootstrap_round", "build_xy", "cavity",
+    "bell_diagonal_map", "bootstrap_round", "cavity",
     "closed_form_cnot", "closed_form_fidelity", "closed_form_general",
     "closed_form_success", "cnot", "cnot_round", "comparison_table",
     "computational_pair", "convergence_study", "errors",

@@ -19,6 +19,7 @@ from xypurify import montecarlo
 from xypurify.montecarlo import (
     GATE_TIME_DEFAULT,
     MAX_EXPECTED_ATTEMPTS,
+    MAX_TRIALS,
     RESTORE_EXTRA_DEFAULT,
 )
 from xypurify.pumping import MAX_ROUNDS
@@ -128,10 +129,12 @@ class TestConfigValidation:
         assert expected_attempts(0.75, np.int64(4)) == expected_attempts(0.75, 4)
 
     @pytest.mark.parametrize("kwargs", [{"trials": True}, {"trials": 2.0},
-                                        {"trials": 0}, {"trials": 3, "workers": 1.5},
+                                        {"trials": 0}, {"trials": MAX_TRIALS + 1},
+                                        {"trials": 3, "workers": 1.5},
                                         {"trials": 3, "workers": True}],
                              ids=["trials-bool", "trials-float", "trials-zero",
-                                  "workers-float", "workers-bool"])
+                                  "trials-above-bound", "workers-float",
+                                  "workers-bool"])
     def test_batch_counts_must_be_positive_integers(self, kwargs):
         with pytest.raises(ConfigurationError, match=next(reversed(kwargs))):
             simulate_batch(config(), **kwargs)
@@ -214,10 +217,14 @@ class TestBatch:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         cfg = config(seed=5)
+        reference = simulate_batch(cfg, 10, workers=1).attempts_per_trial
+        assert sizes == []
+        # one chunk per CPU at most, however many workers are asked for
         batch = simulate_batch(cfg, 10, workers=64)
-        assert sizes == [10]
-        assert batch.attempts_per_trial == simulate_batch(cfg, 10).attempts_per_trial
+        assert sizes == [4]
+        assert batch.attempts_per_trial == reference
 
         # chunk bounds follow the trials, not the worker count: 10**6 workers
         # on 3 trials used to build a million-entry grid (16 MB, 2 s)
@@ -231,6 +238,12 @@ class TestBatch:
         assert sizes[-1] == 3
         assert peak < 2_000_000
         assert batch.attempts_per_trial == simulate_batch(cfg, 3).attempts_per_trial
+
+        # an unknown CPU count, like one CPU, runs in this process
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        runs = len(sizes)
+        assert simulate_batch(cfg, 10, workers=64).attempts_per_trial == reference
+        assert len(sizes) == runs
 
     def test_matches_analytic_attempts(self):
         batch = simulate_batch(config(seed=2024), 20_000)

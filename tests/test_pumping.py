@@ -79,15 +79,16 @@ class TestPump:
             assert max(abs(d) for d in diffs) < 5e-3
             assert all(d > -1e-9 for d in diffs)
 
-    @pytest.mark.parametrize("j", [1.0, -0.7, 2.5])
+    # J t0 = k T: T, -T and the next operational time 3T (n = 1)
+    @pytest.mark.parametrize("k", [1.0, -1.0, 3.0])
     @pytest.mark.parametrize("f", [0.6, 0.75, 0.9])
-    def test_simulation_mode_matches_six_qubit_loop(self, f, j):
-        # the rounds at the operational time do not depend on J
+    def test_simulation_mode_matches_six_qubit_loop(self, f, k):
+        # the rounds do not depend on which operational time, or its sign
         sim = pump(f, 10, mode="simulation")
         state = werner(f)
-        t = operational_time(j).t
+        t = k * operational_time(1.0).t
         for r in sim.rounds:
-            result = run_round(RoundInput(f=f, stationary_state=state, t0=t, j=j))
+            result = run_round(RoundInput(f=f, stationary_state=state, t0=t))
             state = result.post_state
             assert r.fidelity == pytest.approx(fidelity(state), abs=1e-12)
             assert r.success_probability == pytest.approx(

@@ -15,7 +15,6 @@ from xypurify import (
     bell_decompose,
     bell_diagonal_map,
     bootstrap_round,
-    build_xy,
     closed_form_fidelity,
     closed_form_general,
     closed_form_success,
@@ -37,8 +36,8 @@ from oracle import post_selected, six_qubit_state, stored_pair
 T = operational_time(1.0).t  # pi/6
 
 
-def make_input(f, fprime, t0, j=1.0):
-    return RoundInput(f=f, stationary_state=werner(fprime), t0=t0, j=j)
+def make_input(f, fprime, t0):
+    return RoundInput(f=f, stationary_state=werner(fprime), t0=t0)
 
 
 def coherence(rho):
@@ -118,12 +117,12 @@ class TestClosedForms:
         assert max(dens) == pytest.approx(-9.0, abs=1e-12)
         assert min(dens) == pytest.approx(-81.0, abs=1e-12)
 
-    @pytest.mark.parametrize("t0, j", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
-                                       (1.0, np.nan), (1.0, np.inf), (1e308, 1.0)])
-    def test_non_finite_time_rejected(self, t0, j):
+    # 1e308 and -1e308 are finite, but the phase 12 J t0 overflows
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+    def test_non_finite_time_rejected(self, t0):
         for closed_form in (closed_form_fidelity, closed_form_success):
             with pytest.raises(DomainError):
-                closed_form(t0, 0.75, j)
+                closed_form(t0, 0.75)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -161,15 +160,11 @@ class TestOperationalTime:
             operational_time(1.0, -1)
 
 
+# the one entry point that takes the coupling J; the rest work in J = 1
 @pytest.mark.parametrize("j", [0.0, np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("entry", [
-    build_xy,
-    operational_time,
-    lambda j: RoundInput(f=0.8, stationary_state=werner(0.7), t0=T, j=j),
-    lambda j: restore(DensityMatrix(np.eye(64) / 64), elapsed=T, j=j),
-], ids=["build_xy", "operational_time", "RoundInput", "restore"])
+@pytest.mark.parametrize("entry", [operational_time], ids=["operational_time"])
 def test_coupling_finite_and_nonzero(entry, j):
-    with pytest.raises(DomainError, match="coupling J must be"):
+    with pytest.raises(DomainError, match="coupling J must be finite and nonzero"):
         entry(j)
 
 
@@ -207,7 +202,7 @@ class TestRunRound:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         mixed = a @ a.conj().T
-        u = evolve_composite(build_xy(1.0), T).matrix
+        u = evolve_composite(T).matrix
         for stored in (werner(0.7), computational_pair("00"),
                        DensityMatrix(mixed / np.trace(mixed))):
             result = run_round(RoundInput(f=0.8, stationary_state=stored, t0=T))
@@ -231,7 +226,7 @@ class TestRunRound:
         # a propagator that keeps no weight, or carries nan, must stop at
         # the probability check and not reach DensityMatrix
         propagator = SimpleNamespace(matrix=np.full((64, 64), fill, dtype=complex))
-        monkeypatch.setattr(rounds, "evolve_composite", lambda h, t: propagator)
+        monkeypatch.setattr(rounds, "evolve_composite", lambda t: propagator)
         with pytest.raises(ZeroProbabilityError):
             run_round(make_input(0.8, 0.7, T))
 
@@ -300,7 +295,7 @@ class TestRunRound:
         with pytest.raises(DomainError):
             make_input(1.2, 0.7, T)
         with pytest.raises(DomainError):
-            RoundInput(f=0.8, stationary_state=werner(0.7), t0=T, j=0.0)
+            make_input(0.8, 0.7, np.nan)
 
     @settings(max_examples=25, deadline=None)
     @given(f=st.floats(0.501, 1.0), fprime=st.floats(0.501, 1.0),
@@ -321,16 +316,16 @@ class TestRunRound:
 
 
 class TestRestore:
-    def evolved_composite(self, rng, elapsed, j=1.0):
+    def evolved_composite(self, rng, elapsed):
         rho = DensityMatrix(six_qubit_state(
             *(random_bell_diagonal(rng).matrix for _ in range(3))))
-        u = evolve_composite(build_xy(j), elapsed).matrix
+        u = evolve_composite(elapsed).matrix
         return rho, DensityMatrix(u @ rho.matrix @ u.conj().T)
 
     def test_restores_after_gate_time(self):
         rng = np.random.default_rng(5)
         original, evolved = self.evolved_composite(rng, T)
-        restored = restore(evolved, elapsed=T, j=1.0)
+        restored = restore(evolved, elapsed=T)
         np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
         np.testing.assert_allclose(stored_pair(restored.matrix),
                                    stored_pair(original.matrix), atol=1e-11)
@@ -338,21 +333,29 @@ class TestRestore:
     def test_zero_elapsed_unchanged(self):
         rng = np.random.default_rng(6)
         original, _ = self.evolved_composite(rng, 0.0)
-        restored = restore(original, elapsed=0.0, j=1.0)
+        restored = restore(original, elapsed=0.0)
+        np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
+
+    # backward in time, and past one period (m = 3)
+    @pytest.mark.parametrize("elapsed", [-T, 2.5 * np.pi], ids=["minus-T", "2.5pi"])
+    def test_restores_any_finite_elapsed_time(self, elapsed):
+        rng = np.random.default_rng(8)
+        original, evolved = self.evolved_composite(rng, elapsed)
+        restored = restore(evolved, elapsed=elapsed)
         np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
 
     def test_default_m_is_smallest_period(self):
         rng = np.random.default_rng(7)
         elapsed = 0.37 * np.pi
         original, evolved = self.evolved_composite(rng, elapsed)
-        restored = restore(evolved, elapsed=elapsed, j=1.0)
+        restored = restore(evolved, elapsed=elapsed)
         np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
 
     @pytest.mark.parametrize("elapsed", [np.nan, np.inf, -np.inf])
     def test_non_finite_elapsed_rejected(self, elapsed):
         _, evolved = self.evolved_composite(np.random.default_rng(9), T)
         with pytest.raises(DomainError):
-            restore(evolved, elapsed=elapsed, j=1.0)
+            restore(evolved, elapsed=elapsed)
 
 
 class TestBootstrap:
@@ -379,7 +382,7 @@ class TestBootstrap:
         magnitudes = [abs(coherence(state))]
         for _ in range(5):
             state = run_round(RoundInput(f=0.75, stationary_state=state,
-                                         t0=T, j=1.0)).post_state
+                                         t0=T)).post_state
             magnitudes.append(abs(coherence(state)))
         assert all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
         assert min(magnitudes) < 1e-3
@@ -393,13 +396,12 @@ class TestBootstrap:
         assert bell_decompose(result.post_state).off_diagonal_norm > 1e-3
 
 
-def oracle_map(f, j=1.0):
+def oracle_map(f, t0):
     """Bell-weight map of one six-qubit round, column k from Bell state k."""
     cols = []
     for k in BELL_ORDER:
         stored = DensityMatrix(BELL_PROJECTORS[k])
-        result = run_round(RoundInput(f=f, stationary_state=stored,
-                                      t0=operational_time(j).t, j=j))
+        result = run_round(RoundInput(f=f, stationary_state=stored, t0=t0))
         weights = bell_decompose(result.post_state).weights
         cols.append([result.success_probability * weights[b] for b in BELL_ORDER])
     return np.array(cols).T
@@ -407,23 +409,26 @@ def oracle_map(f, j=1.0):
 
 class TestBellDiagonalMap:
     def test_integer_coefficients_rederived_from_oracle(self):
-        # 2916 M(f) = A + B f + C f^2, solved from f = 0, 1/2, 1
-        m0, mh, m1 = (2916.0 * oracle_map(f) for f in (0.0, 0.5, 1.0))
-        c = 2.0 * (m1 - 2.0 * mh + m0)
-        b = m1 - m0 - c
-        for derived, pinned in ((m0, rounds._BELL_MAP_A), (b, rounds._BELL_MAP_B),
-                                (c, rounds._BELL_MAP_C)):
-            assert np.abs(derived - np.rint(derived)).max() < 1e-9
-            np.testing.assert_array_equal(np.rint(derived), pinned)
-            np.testing.assert_array_equal(pinned, pinned.T)
+        # 2916 M(f) = A + B f + C f^2, solved from f = 0, 1/2, 1; the same
+        # at J T = pi/6 and at -pi/6
+        for t0 in (T, -T):
+            m0, mh, m1 = (2916.0 * oracle_map(f, t0) for f in (0.0, 0.5, 1.0))
+            c = 2.0 * (m1 - 2.0 * mh + m0)
+            b = m1 - m0 - c
+            for derived, pinned in ((m0, rounds._BELL_MAP_A),
+                                    (b, rounds._BELL_MAP_B),
+                                    (c, rounds._BELL_MAP_C)):
+                assert np.abs(derived - np.rint(derived)).max() < 1e-9
+                np.testing.assert_array_equal(np.rint(derived), pinned)
+                np.testing.assert_array_equal(pinned, pinned.T)
 
     def test_matches_oracle_on_random_bell_diagonal_pairs(self):
         rng = np.random.default_rng(11)
         for f in (0.3, 0.6, 0.9):
-            for j in (1.0, -0.7, 2.5):
+            # the operational times J T = pi/6, -pi/6 and pi/2 (n = 1)
+            for t0 in (T, -T, 3 * T):
                 stored = random_bell_diagonal(rng)
-                result = run_round(RoundInput(f=f, stationary_state=stored,
-                                              t0=operational_time(j).t, j=j))
+                result = run_round(RoundInput(f=f, stationary_state=stored, t0=t0))
                 w = bell_decompose(stored).weights
                 post = bell_diagonal_map(f) @ [w[k] for k in BELL_ORDER]
                 dec = bell_decompose(result.post_state)

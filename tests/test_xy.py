@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from xypurify import (
-    DegenerateCouplingError,
     DomainError,
     EvolutionOperator,
     ShapeError,
-    build_xy,
     evolve_composite,
     evolve_triplet,
     random_bell_diagonal,
 )
+from xypurify.xy import _XY_UNIT
 
 from oracle import six_qubit_state
 
@@ -33,35 +32,28 @@ def number_operator(n=3):
 
 
 class TestHamiltonian:
-    def test_zero_coupling_rejected(self):
-        with pytest.raises(DegenerateCouplingError):
-            build_xy(0.0)
-
     def test_hermitian(self):
-        h = build_xy(1.3).matrix
+        h = _XY_UNIT
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
 
     def test_single_excitation_block(self):
-        # oracle: the block is 2J times the triangle adjacency matrix,
+        # oracle: the block is 2J = 2 times the triangle adjacency matrix,
         # whose spectrum is {2, -1, -1} by direct diagonalization
         adjacency = np.ones((3, 3)) - np.eye(3)
         adj_eigs = np.sort(np.linalg.eigvalsh(adjacency))
         np.testing.assert_allclose(adj_eigs, [-1, -1, 2], atol=1e-12)
 
-        j = 0.7
-        h = build_xy(j).matrix
         idx = excitation_sectors()[1]
-        block = h[np.ix_(idx, idx)]
+        block = _XY_UNIT[np.ix_(idx, idx)]
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(block)),
-                                   2 * j * adj_eigs, atol=1e-12)
+                                   2 * adj_eigs, atol=1e-12)
 
     def test_full_spectrum(self):
-        j = 1.0
-        eigs = np.sort(np.linalg.eigvalsh(build_xy(j).matrix))
+        eigs = np.sort(np.linalg.eigvalsh(_XY_UNIT))
         np.testing.assert_allclose(eigs, [-2, -2, -2, -2, 0, 0, 4, 4], atol=1e-12)
 
     def test_trapped_states(self):
-        h = build_xy(2.0).matrix
+        h = _XY_UNIT
         e000 = np.zeros(8)
         e000[0] = 1.0
         eee = np.zeros(8)
@@ -69,17 +61,13 @@ class TestHamiltonian:
         assert np.abs(h @ e000).max() < 1e-14
         assert np.abs(h @ eee).max() < 1e-14
 
-    def test_linearity_in_coupling(self):
-        np.testing.assert_allclose(build_xy(-1.7).matrix, -build_xy(1.7).matrix,
-                                   atol=1e-14)
-
     def test_commutes_with_number_operator(self):
-        h = build_xy(1.0).matrix
+        h = _XY_UNIT
         n = number_operator()
         assert np.abs(h @ n - n @ h).max() < 1e-13
 
     def test_block_diagonal_over_sectors(self):
-        h = build_xy(1.0).matrix
+        h = _XY_UNIT
         sectors = excitation_sectors()
         for na, ia in sectors.items():
             for nb, ib in sectors.items():
@@ -87,7 +75,7 @@ class TestHamiltonian:
                     assert np.abs(h[np.ix_(ia, ib)]).max() < 1e-15
 
     def test_particle_hole_symmetric_sectors(self):
-        h = build_xy(1.0).matrix
+        h = _XY_UNIT
         s = excitation_sectors()
         e1 = np.sort(np.linalg.eigvalsh(h[np.ix_(s[1], s[1])]))
         e2 = np.sort(np.linalg.eigvalsh(h[np.ix_(s[2], s[2])]))
@@ -96,35 +84,34 @@ class TestHamiltonian:
 
 class TestEvolution:
     def test_time_zero_is_identity(self):
-        u = evolve_triplet(build_xy(1.0), 0.0)
+        u = evolve_triplet(0.0)
         np.testing.assert_allclose(u.matrix, np.eye(8), atol=1e-14)
 
     def test_unitary(self):
-        u = evolve_triplet(build_xy(0.9), 2.31).matrix
+        u = evolve_triplet(2.31).matrix
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
     def test_one_parameter_group(self):
-        h = build_xy(1.1)
-        u1 = evolve_triplet(h, 0.4).matrix
-        u2 = evolve_triplet(h, 1.3).matrix
-        u12 = evolve_triplet(h, 1.7).matrix
+        u1 = evolve_triplet(0.4).matrix
+        u2 = evolve_triplet(1.3).matrix
+        u12 = evolve_triplet(1.7).matrix
         np.testing.assert_allclose(u1 @ u2, u12, atol=1e-11)
 
     def test_identity_at_state_period(self):
-        for j in (1.0, -2.0):
-            for m in (1, 2, 3):
-                u = evolve_triplet(build_xy(j), m * np.pi / abs(j)).matrix
-                np.testing.assert_allclose(u, np.eye(8), atol=1e-11)
+        # J t = m pi, forward and backward in time
+        for m in (1, 2, 3, -1, -2):
+            u = evolve_triplet(m * np.pi).matrix
+            np.testing.assert_allclose(u, np.eye(8), atol=1e-11)
 
     # 1e308 and -1e308 are finite, but the phase 4 J t overflows
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(DomainError):
-            evolve_triplet(build_xy(1.0), t)
+            evolve_triplet(t)
 
     def test_largest_finite_phase_accepted(self):
         # |w| t = 4 * 4e307 stays finite
-        u = evolve_triplet(build_xy(1.0), 4e307).matrix
+        u = evolve_triplet(4e307).matrix
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), complex(np.nan, 1.0),
@@ -134,31 +121,28 @@ class TestEvolution:
         m = np.eye(8, dtype=complex)
         m[3, 5] = bad
         with pytest.raises(ShapeError, match="not unitary"):
-            EvolutionOperator(0.0, m)
+            EvolutionOperator(m)
 
     def test_composite_time_zero(self):
-        u = evolve_composite(build_xy(1.0), 0.0)
+        u = evolve_composite(0.0)
         np.testing.assert_allclose(u.matrix, np.eye(64), atol=1e-13)
 
     def test_composite_dagger_is_reverse(self):
-        h = build_xy(1.0)
-        u = evolve_composite(h, 0.8).matrix
-        ur = evolve_composite(h, -0.8).matrix
+        u = evolve_composite(0.8).matrix
+        ur = evolve_composite(-0.8).matrix
         np.testing.assert_allclose(u.conj().T, ur, atol=1e-12)
 
     def test_composite_period_restores_any_state(self):
         rng = np.random.default_rng(11)
-        h = build_xy(1.0)
         for m in (1, 2):
-            u = evolve_composite(h, m * np.pi).matrix
+            u = evolve_composite(m * np.pi).matrix
             rho = composite_bell_product(rng)
             out = u @ rho @ u.conj().T
             np.testing.assert_allclose(out, rho, atol=1e-12)
 
     def test_excitation_conservation(self):
         # weight never crosses between sectors under evolution
-        h = build_xy(1.0)
-        u = evolve_triplet(h, 1.234).matrix
+        u = evolve_triplet(1.234).matrix
         sectors = excitation_sectors()
         for na, ia in sectors.items():
             for nb, ib in sectors.items():
