@@ -25,6 +25,9 @@ error norm and step control of scipy's ``solve_ivp(method="DOP853")``
 written out operation for operation: it makes the same floating-point
 operations in the same order, so its steps and states equal
 ``solve_ivp``'s bit for bit, and the tests check that against scipy.
+It yields the accepted steps and stores none of them: the integrators
+that return a :class:`Trajectory` collect them in blocks, and
+:func:`convergence_study` keeps only each run's endpoint.
 The transit integrals use Gauss-Legendre quadrature, and the constant
 models' propagators the eigendecomposition of their real symmetric
 generators.
@@ -33,8 +36,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,7 +111,7 @@ _DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
 
 
-_BLOCK_ROWS = 256  # accepted states per storage block of _dop853
+_BLOCK_ROWS = 256  # rows per block stored by _integrate and reduced by _row_max
 
 
 def _rms(x: np.ndarray) -> float:
@@ -115,20 +119,20 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: float
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate y' = fun(t, y) forward from t_a to t_b > t_a with the DOP853 pair.
+            ) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield the accepted (t, y) of y' = fun(t, y) from t_a to t_b > t_a, DOP853 pair.
 
-    Returns the accepted times and the states at them, shaped like
-    ``solve_ivp``'s ``t`` and ``y``: the states are the transpose of one
-    C-ordered (steps, y.size) array, whose rows are written into blocks of
-    _BLOCK_ROWS as the steps are accepted and joined once at the end.  The
-    initial step, the error norm and the step control are those of
+    The first pair is (t_a, y0) and the last has t = t_b.  Nothing is
+    stored: each yielded state is a new array that the integrator never
+    writes again, so a caller keeps only what it reads.  The initial step,
+    the error norm and the step control are those of
     ``scipy.integrate.solve_ivp(method="DOP853")``, written operation for
-    operation, so the steps and states are the same floats it produces.
-    Raises :class:`StiffnessError` where it reports failure: the step
-    falling below 10 ulp of t.
+    operation, so the times and states are the same floats as its ``t``
+    and the columns of its ``y``.  Raises :class:`StiffnessError` where it
+    reports failure: the step falling below 10 ulp of t.
     """
     t, y = float(t_a), y0
+    yield t, y
     f = fun(t, y)
     # initial step as Hairer, Norsett & Wanner II.4, for error order 7
     interval = t_b - t
@@ -141,8 +145,6 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
     h_abs = min(100 * h0, h1, interval)
 
     k = np.empty((13, y.size))
-    ts, blocks, row = [t], [np.empty((_BLOCK_ROWS, y.size))], 1
-    blocks[0][0] = y
     while t < t_b:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -175,14 +177,7 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
             h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
             rejected = True
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        if row == _BLOCK_ROWS:
-            blocks.append(np.empty((_BLOCK_ROWS, y.size)))
-            row = 0
-        blocks[-1][row] = y
-        row += 1
-    blocks[-1] = blocks[-1][:row]
-    return np.array(ts), np.concatenate(blocks).T
+        yield t, y
 
 
 @dataclass(frozen=True)
@@ -293,8 +288,16 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def peak_collective_coupling(geom: CavityGeometry) -> float:
     """max over 2001 window samples of the collective coupling sqrt(sum g_k^2)."""
     t_a, t_b = geom.window()
-    g1, g2, _ = _coupling_samples(geom, np.linspace(t_a, t_b, 2001))
-    return float(np.sqrt(g1 ** 2 + g2 ** 2 + geom.g_trapped ** 2).max())
+    z1, z2 = geom.z0
+    vt = geom.v * np.linspace(t_a, t_b, 2001)
+    # g1^2 + g2^2 + g3^2 in that order, in place in g1's samples
+    g1 = np.exp(-(z1 + vt) ** 2)
+    g1 *= g1
+    g2 = np.exp(-(z2 + vt) ** 2)
+    g2 *= g2
+    g1 += g2
+    g1 += geom.g_trapped ** 2
+    return float(np.sqrt(g1, out=g1).max())
 
 
 @dataclass(frozen=True)
@@ -321,35 +324,54 @@ def _check_initial(c: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _integrate(rhs, t_a: float, t_b: float, c_init: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Times and (steps, n) complex amplitudes of c' = rhs on y = (Re c, Im c).
-
-    The amplitudes are filled part by part from the real states, with no
-    complex temporary, and the real states are dropped on return, before
-    the callers take their norms.
-    """
-    n = c_init.size
-    times, y = _dop853(rhs, t_a, t_b, np.concatenate([c_init.real, c_init.imag]),
-                       INTEGRATOR_RTOL, INTEGRATOR_ATOL)
-    c = np.empty((len(times), n), dtype=complex)
-    c.real, c.imag = y[:n].T, y[n:].T
-    return times, c
-
-
-def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
-    """Integrate the exact single-excitation atom-photon dynamics.
-
-      c0' = i delta c0 + (g . c_atoms)
-      ck' = -g_k c0
-
-    ``initial`` holds (c0, c1, c2, c3); the photon amplitude must start
-    at zero for the usual protocol question, but any normalized vector
-    is accepted.  The trajectory is stored at the solver's natural
-    steps, which resolve the fast photon-amplitude oscillation.
-    """
-    c_init = _check_initial(initial, 4)
+def _steps(rhs, geom: CavityGeometry, c_init: np.ndarray
+           ) -> Iterator[tuple[float, np.ndarray]]:
+    """_dop853's accepted (t, y) of c' = rhs over the window, y = (Re c, Im c)."""
     t_a, t_b = geom.window()
+    return _dop853(rhs, t_a, t_b, np.concatenate([c_init.real, c_init.imag]),
+                   INTEGRATOR_RTOL, INTEGRATOR_ATOL)
+
+
+def _integrate(steps: Iterator[tuple[float, np.ndarray]], n: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Times and (steps, n) complex amplitudes of the states y = (Re c, Im c).
+
+    The one collector of integrator steps: each time and the amplitudes
+    of its state go straight into blocks of _BLOCK_ROWS rows, with no
+    copy of the real state, and the blocks are joined once at the end.
+    """
+    t_blocks, c_blocks, row = [], [], _BLOCK_ROWS
+    for t, y in steps:
+        if row == _BLOCK_ROWS:
+            t_blocks.append(np.empty(_BLOCK_ROWS))
+            c_blocks.append(np.empty((_BLOCK_ROWS, n), dtype=complex))
+            row = 0
+        t_blocks[-1][row] = t
+        c = c_blocks[-1][row]
+        c.real, c.imag = y[:n], y[n:]
+        row += 1
+    t_blocks[-1], c_blocks[-1] = t_blocks[-1][:row], c_blocks[-1][:row]
+    return np.concatenate(t_blocks), np.concatenate(c_blocks)
+
+
+def _row_max(c: np.ndarray, per_row) -> float:
+    """max over the rows of c of per_row(rows), _BLOCK_ROWS rows at a time."""
+    return float(np.max([np.max(per_row(c[i:i + _BLOCK_ROWS]))
+                         for i in range(0, len(c), _BLOCK_ROWS)]))
+
+
+def _norm_drift(c: np.ndarray) -> float:
+    return _row_max(c, lambda rows: np.abs(np.linalg.norm(rows, axis=1) - 1.0))
+
+
+def _full_steps(geom: CavityGeometry, c_init: np.ndarray
+                ) -> Iterator[tuple[float, np.ndarray]]:
+    """_steps of the exact dynamics, c = (c0, c1, c2, c3).
+
+    Shared by :func:`integrate_full`, which stores them, and
+    :func:`convergence_study`, which keeps the endpoint only.  A
+    StiffnessError names the detuning.
+    """
     delta = geom.delta
     z1, z2 = geom.z0
     v, g3 = geom.v, geom.g_trapped
@@ -366,18 +388,31 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
                          g @ y[5:8] + delta * r0, -g1 * i0, -g2 * i0, -g3 * i0))
 
     try:
-        times, c = _integrate(rhs, t_a, t_b, c_init)
+        yield from _steps(rhs, geom, c_init)
     except StiffnessError as err:
         raise StiffnessError(
             f"{err}; |delta| is probably too large for the tolerance "
             f"(|delta|/g0 = {abs(delta):.3g}). Reduce the detuning "
             "ratio or the transit time, or relax the tolerance.") from None
-    norms = np.linalg.norm(c, axis=1)
+
+
+def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
+    """Integrate the exact single-excitation atom-photon dynamics.
+
+      c0' = i delta c0 + (g . c_atoms)
+      ck' = -g_k c0
+
+    ``initial`` holds (c0, c1, c2, c3); the photon amplitude must start
+    at zero for the usual protocol question, but any normalized vector
+    is accepted.  The trajectory is stored at the solver's natural
+    steps, which resolve the fast photon-amplitude oscillation.
+    """
+    times, c = _integrate(_full_steps(geom, _check_initial(initial, 4)), 4)
     return Trajectory(
         times=times,
         amplitudes=c,
-        max_photon_population=float(np.max(np.abs(c[:, 0]) ** 2)),
-        norm_drift=float(np.max(np.abs(norms - 1.0))),
+        max_photon_population=_row_max(c, lambda rows: np.abs(rows[:, 0]) ** 2),
+        norm_drift=_norm_drift(c),
     )
 
 
@@ -394,8 +429,6 @@ def integrate_effective(geom: CavityGeometry, initial: np.ndarray) -> Trajectory
     (up to integrator error).
     """
     c_init = _check_initial(np.asarray(initial, dtype=complex), 3)
-    t_a, t_b = geom.window()
-
     inv_delta = 1.0 / geom.delta  # numpy's complex / real divides this way
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -404,13 +437,12 @@ def integrate_effective(geom: CavityGeometry, initial: np.ndarray) -> Trajectory
         s_re, s_im = np.dot(g, y[:3]), np.dot(g, y[3:])
         return np.concatenate([g * s_im * inv_delta, -g * s_re * inv_delta])
 
-    times, c = _integrate(rhs, t_a, t_b, c_init)
-    norms = np.linalg.norm(c, axis=1)
+    times, c = _integrate(_steps(rhs, geom, c_init), 3)
     return Trajectory(
         times=times,
         amplitudes=c,
         max_photon_population=0.0,
-        norm_drift=float(np.max(np.abs(norms - 1.0))),
+        norm_drift=_norm_drift(c),
     )
 
 
@@ -608,12 +640,16 @@ def convergence_study(geom: CavityGeometry,
 
     Returns (detuning, distance) pairs, each distance the
     ``distance_full_mean`` of :func:`xy_agreement` at that detuning, from
-    one exact integration per factor.  First-order elimination error
-    means the distance should halve each time the detuning doubles.
+    one exact integration per factor.  Each integration keeps only its
+    current state, so the memory does not grow with its step count.
+    First-order elimination error means the distance should halve each
+    time the detuning doubles.
     """
     out = []
     for fac in factors:
         g = replace(geom, delta=geom.delta * fac)
-        full_atoms = integrate_full(g, _C4).endpoint[1:]
+        [(_, y)] = deque(_full_steps(g, _C4), maxlen=1)  # the endpoint only
+        full_atoms = np.empty(3, dtype=complex)
+        full_atoms.real, full_atoms.imag = y[1:4], y[5:8]
         out.append((g.delta, distance_mod_phase(full_atoms, _mean_endpoint(g))))
     return out

@@ -31,6 +31,7 @@ _CONFIG_TYPES = {"trials": int, "f": float, "target_rounds": int,
                  "gate_time": float, "restore_extra_time": float,
                  "message_latency": float}
 _CONFIG_NULLABLE = {"target_rounds", "target_fidelity"}
+MAX_ROWS = 10**6  # bound on a table built in memory, checked before its grid
 
 
 def _fmt(x) -> str:
@@ -145,11 +146,15 @@ def cmd_round(f: float, fprime: float, jt0: float | None, at_t: bool,
         _emit_csv(keys, [[payload[k] for k in keys]], output)
 
 
-def _float_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+def _float_grid(lo: float, hi: float, steps: int, rows: int) -> np.ndarray:
+    """The grid of a table of ``rows`` rows, each built before any is written."""
     if steps < 2:
         raise click.UsageError("grid needs at least 2 steps")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid bounds must be finite, got {lo} and {hi}")
+    if rows > MAX_ROWS:
+        raise DomainError(f"the table would have {rows} rows, above the bound "
+                          f"of {MAX_ROWS}")
     return np.linspace(lo, hi, steps)
 
 
@@ -169,17 +174,17 @@ def cmd_fig5(panel: str, f_fixed: float, f_min: float, f_max: float,
              output: str | None) -> None:
     """Single-round fidelity sweeps: vs time (a), vs baseline (b), vs f,f' (c)."""
     if panel == "a":
-        grid = _float_grid(0.0, jt_max, jt_steps)
+        grid = _float_grid(0.0, jt_max, jt_steps, jt_steps)
         table = [(jt, rounds.closed_form_fidelity(jt, f_fixed)) for jt in grid]
         _emit_csv(["jt0", "fidelity"], table, output)
     elif panel == "b":
-        grid = _float_grid(f_min, f_max, f_steps)
+        grid = _float_grid(f_min, f_max, f_steps, f_steps)
         table = [(r.f, r.xy_one_round, r.cnot_one_round, r.scheme_c_two_rounds)
                  for r in cnot.comparison_table(grid)]
         _emit_csv(["f", "xy_one_round", "cnot_one_round", "scheme_c_two_rounds"],
                   table, output)
     else:
-        grid = _float_grid(f_min, f_max, f_steps)
+        grid = _float_grid(f_min, f_max, f_steps, f_steps ** 2)
         table = [(f, fp, rounds.closed_form_general(f, fp).fidelity)
                  for f in grid for fp in grid]
         _emit_csv(["f", "fprime", "fidelity"], table, output)
@@ -197,7 +202,7 @@ def cmd_fig6(f_min: float, f_max: float, f_steps: int, n_max: int,
     """Pumping saturation table over (f, n), incl. n = 1 and n = 4 rows."""
     if n_max < 4:
         raise click.UsageError("n-max must be at least 4 for the comparison rows")
-    grid = _float_grid(f_min, f_max, f_steps)
+    grid = _float_grid(f_min, f_max, f_steps, f_steps * n_max)
     table = [(r.f, r.n, r.fidelity, r.f_hat, r.f_bar, r.success_probability,
               r.fixed_point)
              for r in pumping.saturation_table(grid, n_max)]

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import dataclasses
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -193,9 +194,22 @@ class TestFullIntegration:
             with pytest.raises(DomainError):
                 integrate_full(default_geom(), np.array(bad))
 
+    def test_stiffness_error_names_the_detuning(self, monkeypatch):
+        # the stored and the endpoint-only exact runs report it alike
+        def stiff(*args):
+            raise StiffnessError("adaptive integrator failed at t = 1")
+            yield
+
+        monkeypatch.setattr(cavity, "_dop853", stiff)
+        geom = default_geom(delta=-50.0)
+        for run in (lambda: integrate_full(geom, C4),
+                    lambda: convergence_study(geom, (2.0,))):
+            with pytest.raises(StiffnessError, match=r"t = 1; .*\(\|delta\|/g0 = \d+\)"):
+                run()
+
     def test_heap_per_step(self):
-        # states stored in blocks and the amplitudes filled part by part
-        # take about 200 B of traced heap per step
+        # times and complex amplitudes written straight into blocks, joined
+        # once, take about 147 B of traced heap per step
         geom = default_geom(delta=200.0, v=0.25)
         integrate_full(geom, C4)  # numpy's first-use allocations stay out
         tracemalloc.start()
@@ -206,7 +220,7 @@ class TestFullIntegration:
             tracemalloc.stop()
         steps = len(traj.times) - 1
         assert steps > 3 * cavity._BLOCK_ROWS
-        assert peak <= 250 * steps
+        assert peak <= 160 * steps
         for t, n in ((traj, 4), (integrate_effective(geom, C3), 3)):
             assert t.times.ndim == 1 and t.times.dtype == np.float64
             assert t.amplitudes.shape == (len(t.times), n)
@@ -230,8 +244,10 @@ class TestEffectiveIntegration:
             dc = -1j * (m @ (y[:3] + 1j * y[3:]))
             return np.concatenate([dc.real, dc.imag])
 
-        _, y = _dop853(rhs, 0.0, dt, np.concatenate([C3.real, C3.imag]), 1e-12, 1e-14)
-        got = y[:3, -1] + 1j * y[3:, -1]
+        [(t, y)] = deque(_dop853(rhs, 0.0, dt, np.concatenate([C3.real, C3.imag]),
+                                 1e-12, 1e-14), maxlen=1)
+        assert t == dt
+        got = y[:3] + 1j * y[3:]
         np.testing.assert_allclose(got, expm(-1j * m * dt) @ C3, atol=1e-10)
 
     def test_norm_preserved(self):
@@ -284,10 +300,27 @@ class TestAgreement:
         d1, d2, d4 = (d for _, d in study)
         assert 0.4 < d2 / d1 < 0.6
         assert 0.4 < d4 / d2 < 0.6
-        # the exact-only study reads the same distance as the full report
-        assert [d for _, d in convergence_study(geom, (1.0, 2.0))] == [
-            xy_agreement(replace(geom, delta=delta)).distance_full_mean
-            for delta in (geom.delta, 2.0 * geom.delta)]
+        # the endpoint-only exact runs read the same distance, bit for bit,
+        # as the report on the stored trajectory, at +-20, +-50 and +-100
+        for delta in (20.0, -20.0):
+            study = convergence_study(default_geom(delta=delta), (1.0, 2.5, 5.0))
+            assert [g for g, _ in study] == [delta, 2.5 * delta, 5.0 * delta]
+            assert [d for _, d in study] == [
+                xy_agreement(default_geom(delta=g)).distance_full_mean for g, _ in study]
+
+    def test_convergence_study_memory_is_flat(self):
+        # each exact run keeps only its current state: the peak does not
+        # grow with the step count (3274 steps at 200, more at 400)
+        geom = default_geom(delta=200.0, v=0.25)
+        convergence_study(geom, (1.0,))  # numpy's first-use allocations stay out
+        tracemalloc.start()
+        try:
+            convergence_study(geom, (1.0, 2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(integrate_full(geom, C4).times) > 3 * cavity._BLOCK_ROWS
+        assert peak < 16 * 1024
 
     def test_precomputed_trajectory_changes_nothing(self):
         geom = default_geom()
@@ -318,24 +351,33 @@ class TestScipyReference:
         calls = []
 
         def spy(*args):
-            calls.append((args, _dop853(*args)))
-            return calls[-1][1]
+            # every yielded state is a new array, so the list holds the steps
+            calls.append((args, list(_dop853(*args))))
+            return iter(calls[-1][1])
 
         monkeypatch.setattr(cavity, "_dop853", spy)
-        integrate(default_geom(delta=delta), initial)
-        [((fun, t_a, t_b, y0, rtol, atol), (times, states))] = calls
+        traj = integrate(default_geom(delta=delta), initial)
+        [((fun, t_a, t_b, y0, rtol, atol), steps)] = calls
+        times = np.array([t for t, _ in steps])
+        states = np.array([y for _, y in steps]).T
         sol = solve_ivp(fun, (t_a, t_b), y0, method="DOP853", rtol=rtol, atol=atol)
         assert sol.success
         assert np.array_equal(times, sol.t)
         assert np.array_equal(states, sol.y)
+        # the collector stores them unchanged
+        n = len(initial)
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.amplitudes.real.T, sol.y[:n])
+        assert np.array_equal(traj.amplitudes.imag.T, sol.y[n:])
 
     def test_blow_up_raises_where_solve_ivp_fails(self):
         # y' = y^2, y(0) = 1 reaches infinity at t = 1
         sol = solve_ivp(lambda t, y: y ** 2, (0.0, 2.0), [1.0], method="DOP853",
                         rtol=1e-10, atol=1e-12)
         assert not sol.success
+        steps = _dop853(lambda t, y: y ** 2, 0.0, 2.0, np.array([1.0]), 1e-10, 1e-12)
         with pytest.raises(StiffnessError, match="t = 1:"):
-            _dop853(lambda t, y: y ** 2, 0.0, 2.0, np.array([1.0]), 1e-10, 1e-12)
+            deque(steps, maxlen=0)
 
     def test_gauss_legendre_matches_quad(self):
         rng = np.random.default_rng(29)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from xypurify import cavity
+from xypurify import cavity, cli
 from xypurify.cli import main
 from xypurify.montecarlo import MAX_TRIALS
 
@@ -228,19 +228,50 @@ class TestValidateCavityCommand:
             assert row == [format(float(x), ".12g") for x in parts]
 
     def test_one_integration_per_detuning(self, runner, tmp_path, monkeypatch):
+        # counted where the integrator runs, so the endpoint-only run at
+        # 2 delta counts as well as the stored ones
         calls = []
-        for name in ("integrate_full", "integrate_effective"):
-            original = getattr(cavity, name)
+        original = cavity._dop853
 
-            def counted(geom, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, geom.delta))
-                return _original(geom, *args, **kwargs)
-            monkeypatch.setattr(cavity, name, counted)
+        def counted(fun, t_a, t_b, y0, *args):
+            # the exact model's state has 8 real components; its photon
+            # row reads delta off the unit vector e0
+            delta = float(fun(t_a, np.eye(8)[0])[4]) if y0.size == 8 else None
+            calls.append((y0.size, delta))
+            return original(fun, t_a, t_b, y0, *args)
+        monkeypatch.setattr(cavity, "_dop853", counted)
         run_ok(runner, ["validate-cavity", "--delta", "50", "--ell", "1.0",
                         "--dump-trajectory", str(tmp_path / "traj.csv")])
-        assert sorted(calls) == [("integrate_effective", 50.0),
-                                 ("integrate_full", 50.0),
-                                 ("integrate_full", 100.0)]
+        assert sorted(calls) == [(6, None), (8, 50.0), (8, 100.0)]
+
+
+class TestTableBound:
+    @pytest.mark.parametrize("args", [
+        ["fig5", "--panel", "a", "--jt-steps", str(10**9)],
+        ["fig5", "--panel", "b", "--f-steps", str(10**9)],
+        ["fig5", "--panel", "c", "--f-steps", str(10**9)],
+        ["fig5", "--panel", "c", "--f-steps", "1001"],
+        ["fig6", "--f-steps", str(10**9)],
+        ["fig6", "--f-steps", "41", "--n-max", str(10**9)],
+    ], ids=["a", "b", "c", "c-just-above", "fig6-f", "fig6-n"])
+    def test_oversized_table_exit_2(self, runner, monkeypatch, args):
+        # rejected before the grid exists: a grid built anyway fails here
+        # instead of allocating
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for an oversized table")
+        monkeypatch.setattr(np, "linspace", no_grid)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+        assert f"above the bound of {cli.MAX_ROWS}" in err["message"]
+
+    def test_bound_is_inclusive(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ROWS", 9)
+        result = run_ok(runner, ["fig5", "--panel", "c", "--f-steps", "3"])
+        assert len(result.stdout.splitlines()) == 1 + 9
+        result = runner.invoke(main, ["fig6", "--f-steps", "2", "--n-max", "5"])
+        assert result.exit_code == 2, result.output
 
 
 class TestMonteCarloCommand:
