@@ -8,7 +8,6 @@ from .cavity import (
     Trajectory,
     asymptotic_hamiltonian,
     convergence_study,
-    integrate_effective,
     integrate_full,
     solve_geometry,
     xy_agreement,

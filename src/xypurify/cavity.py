@@ -25,9 +25,9 @@ error norm and step control of scipy's ``solve_ivp(method="DOP853")``
 written out operation for operation: it makes the same floating-point
 operations in the same order, so its steps and states equal
 ``solve_ivp``'s bit for bit, and the tests check that against scipy.
-It yields the accepted steps and stores none of them: the integrators
-that return a :class:`Trajectory` collect them in blocks, and
-:func:`convergence_study` keeps only each run's endpoint.
+It yields the accepted steps and stores none of them: only
+:func:`integrate_full` collects them, into a :class:`Trajectory`;
+:func:`xy_agreement` and :func:`convergence_study` keep only endpoints.
 The transit integrals use Gauss-Legendre quadrature, and the constant
 models' propagators the eigendecomposition of their real symmetric
 generators.
@@ -48,6 +48,7 @@ ADIABATIC_RATIO_MIN = 20.0
 DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN waists
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
+MAX_TRANSIT_PHASE = 10**6   # bound on |delta| (t_b - t_a), checked before any run
 
 # Dormand & Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
 # Differential Equations I, Sec. II.10), digits as in Hairer's dop853.f: the
@@ -218,8 +219,14 @@ class CavityGeometry:
         # on every step
         start = -DEFAULT_SPAN - self.d
         object.__setattr__(self, "z0", (start, start + self.d))
-        if not 0 < self.window()[1] < math.inf:
+        t_a, t_b = self.window()
+        if not 0 < t_b < math.inf:
             raise GeometryError("w / v gives an empty or unbounded transit window")
+        phase = abs(self.delta) * (t_b - t_a)
+        if not phase <= MAX_TRANSIT_PHASE:
+            raise GeometryError(
+                f"|delta| times the transit window is {phase:.3g}, above the bound "
+                f"of {MAX_TRANSIT_PHASE:.3g}; reduce |delta| or raise v")
 
     @property
     def adiabatic(self) -> bool:
@@ -336,7 +343,7 @@ def _integrate(steps: Iterator[tuple[float, np.ndarray]], n: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """Times and (steps, n) complex amplitudes of the states y = (Re c, Im c).
 
-    The one collector of integrator steps: each time and the amplitudes
+    The one collector that stores steps: each time and the amplitudes
     of its state go straight into blocks of _BLOCK_ROWS rows, with no
     copy of the real state, and the blocks are joined once at the end.
     """
@@ -358,10 +365,6 @@ def _row_max(c: np.ndarray, per_row) -> float:
     """max over the rows of c of per_row(rows), _BLOCK_ROWS rows at a time."""
     return float(np.max([np.max(per_row(c[i:i + _BLOCK_ROWS]))
                          for i in range(0, len(c), _BLOCK_ROWS)]))
-
-
-def _norm_drift(c: np.ndarray) -> float:
-    return _row_max(c, lambda rows: np.abs(np.linalg.norm(rows, axis=1) - 1.0))
 
 
 def _full_steps(geom: CavityGeometry, c_init: np.ndarray
@@ -396,6 +399,28 @@ def _full_steps(geom: CavityGeometry, c_init: np.ndarray
             "ratio or the transit time, or relax the tolerance.") from None
 
 
+def _effective_steps(geom: CavityGeometry, c_init: np.ndarray
+                     ) -> Iterator[tuple[float, np.ndarray]]:
+    """_steps of the eliminated dynamics i c' = M c, M = g g^T / delta Hermitian."""
+    inv_delta = 1.0 / geom.delta  # numpy's complex / real divides this way
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        # y = (Re c, Im c); c' = -i g (g.c) / delta with real g
+        g = _coupling_vector(geom, t)
+        s_re, s_im = np.dot(g, y[:3]), np.dot(g, y[3:])
+        return np.concatenate([g * s_im * inv_delta, -g * s_re * inv_delta])
+
+    return _steps(rhs, geom, c_init)
+
+
+def _endpoint(steps: Iterator[tuple[float, np.ndarray]], n: int) -> np.ndarray:
+    """The n complex amplitudes of the last y = (Re c, Im c); one step is held."""
+    [(_, y)] = deque(steps, maxlen=1)
+    c = np.empty(n, dtype=complex)
+    c.real, c.imag = y[:n], y[n:]
+    return c
+
+
 def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
     """Integrate the exact single-excitation atom-photon dynamics.
 
@@ -412,37 +437,7 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
         times=times,
         amplitudes=c,
         max_photon_population=_row_max(c, lambda rows: np.abs(rows[:, 0]) ** 2),
-        norm_drift=_norm_drift(c),
-    )
-
-
-def effective_generator(geom: CavityGeometry, t: float) -> np.ndarray:
-    """Instantaneous atom-only generator g_k g_j / delta (photon eliminated)."""
-    g = _coupling_vector(geom, t)
-    return np.outer(g, g) / geom.delta
-
-
-def integrate_effective(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
-    """Integrate the adiabatically eliminated dynamics i ck' = sum_j M_kj cj.
-
-    The generator is Hermitian, so the atomic norm is conserved exactly
-    (up to integrator error).
-    """
-    c_init = _check_initial(np.asarray(initial, dtype=complex), 3)
-    inv_delta = 1.0 / geom.delta  # numpy's complex / real divides this way
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # y = (Re c, Im c); c' = -i g (g.c) / delta with real g
-        g = _coupling_vector(geom, t)
-        s_re, s_im = np.dot(g, y[:3]), np.dot(g, y[3:])
-        return np.concatenate([g * s_im * inv_delta, -g * s_re * inv_delta])
-
-    times, c = _integrate(_steps(rhs, geom, c_init), 3)
-    return Trajectory(
-        times=times,
-        amplitudes=c,
-        max_photon_population=0.0,
-        norm_drift=_norm_drift(c),
+        norm_drift=_row_max(c, lambda rows: np.abs(np.linalg.norm(rows, axis=1) - 1.0)),
     )
 
 
@@ -453,8 +448,8 @@ def solve_geometry(ell: float) -> float:
     2 ell^2 >= ln 2; below that bound no spacing can compensate the pair
     overlap.
     """
-    if ell < 0:
-        raise GeometryError("offset ell must be nonnegative")
+    if not 0 <= ell < math.inf:
+        raise GeometryError(f"offset ell must be finite and nonnegative, got {ell}")
     bound = math.sqrt(math.log(2.0) / 2.0)
     if ell < bound:
         raise GeometryError(
@@ -593,7 +588,7 @@ def xy_agreement(geom: CavityGeometry, *,
           or (full.times[0], full.times[-1]) != geom.window()):
         raise DomainError("full trajectory must be integrate_full(geom, (0, 1, 0, 0)) "
                           "over the geometry's window")
-    eff = integrate_effective(geom, _C3)
+    eff_end = _endpoint(_effective_steps(geom, _C3), 3)
     tp = geom.t_prime
 
     mean_end = _mean_endpoint(geom)
@@ -604,25 +599,22 @@ def xy_agreement(geom: CavityGeometry, *,
 
     full_atoms = full.endpoint[1:]
 
-    # commutator smallness of the time-dependent eliminated generator,
-    # diagonal removed (the pure exchange part)
+    # commutator smallness of the eliminated generator M = g g^T / delta at
+    # 25 times, diagonal removed (the pure exchange part), all pairs at once
     t_a, t_b = geom.window()
-    ts = np.linspace(t_a, t_b, 25)
-    mats = []
-    for t in ts:
-        m = effective_generator(geom, t)
-        np.fill_diagonal(m, 0.0)
-        mats.append(m)
-    norm_max = max(np.linalg.norm(m, 2) for m in mats)
-    comm_max = max(np.linalg.norm(m1 @ m2 - m2 @ m1, 2)
-                   for i, m1 in enumerate(mats) for m2 in mats[i + 1:])
+    g = np.array([_coupling_vector(geom, t) for t in np.linspace(t_a, t_b, 25)])
+    mats = np.where(np.eye(3, dtype=bool), 0.0, g[:, :, None] * g[:, None, :] / geom.delta)
+    i, j = np.triu_indices(len(mats), 1)
+    comms = mats[i] @ mats[j] - mats[j] @ mats[i]
+    norm_max = np.linalg.norm(mats, 2, axis=(1, 2)).max()
+    comm_max = np.linalg.norm(comms, 2, axis=(1, 2)).max()
 
     couplings = asymptotic_hamiltonian(geom)
     gmax = peak_collective_coupling(geom)
     return AgreementReport(
         distance_full_mean=distance_mod_phase(full_atoms, mean_end),
         distance_full_mean_raw=float(np.linalg.norm(full_atoms - mean_end)),
-        distance_full_effective=float(np.linalg.norm(full_atoms - eff.endpoint)),
+        distance_full_effective=float(np.linalg.norm(full_atoms - eff_end)),
         distance_mean_corrected_xy=float(np.linalg.norm(mean_end - corrected_xy_end)),
         max_photon_population=full.max_photon_population,
         photon_population_bound=4.0 * (gmax / geom.delta) ** 2,
@@ -646,10 +638,8 @@ def convergence_study(geom: CavityGeometry,
     time the detuning doubles.
     """
     out = []
-    for fac in factors:
-        g = replace(geom, delta=geom.delta * fac)
-        [(_, y)] = deque(_full_steps(g, _C4), maxlen=1)  # the endpoint only
-        full_atoms = np.empty(3, dtype=complex)
-        full_atoms.real, full_atoms.imag = y[1:4], y[5:8]
+    # every geometry is built, and so checked, before the first integration
+    for g in [replace(geom, delta=geom.delta * fac) for fac in factors]:
+        full_atoms = _endpoint(_full_steps(g, _C4), 4)[1:]
         out.append((g.delta, distance_mod_phase(full_atoms, _mean_endpoint(g))))
     return out

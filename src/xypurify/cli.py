@@ -239,7 +239,9 @@ def cmd_validate_cavity(delta: float, ell: float, v: float,
             "dynamics is not trustworthy here (pass --force to run anyway)")
     # one integration per detuning: the exact run at delta feeds the
     # agreement and the dumped trajectory; the exact run at 2 delta is the
-    # other point of the convergence ratio
+    # other point of the convergence ratio.  Its geometry is built first,
+    # so that the phase bound rejects it before any integration runs
+    cavity.CavityGeometry(ell=ell, d=d, v=v, delta=2.0 * delta)
     full = cavity.integrate_full(geom, np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
     report = cavity.xy_agreement(geom, full=full)
     couplings = cavity.asymptotic_hamiltonian(geom)

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ZeroProbabilityError
-from .pumping import PumpRound, PumpTrace, _bell_rounds, _rounds_within
+from .pumping import PumpRound, PumpTrace, _bell_rounds, _check_count, _rounds_within
 from .rounds import closed_form_general
 from .states import DensityMatrix, fidelity, werner
 
@@ -113,8 +113,7 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
     """
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs f in (0.5, 1], got {f}")
-    if n < 1:
-        raise DomainError(f"need at least one round, got n={n}")
+    _check_count("n", n)
     rounds = _scheme_c_rounds(f, n)
     xstar = _scheme_c_fixed_point(f)
     return PumpTrace(

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .pumping import MAX_ROUNDS, _werner_rounds, fixed_point
+from .pumping import MAX_ROUNDS, _check_count, _werner_rounds, fixed_point
 from .rounds import closed_form_general
 
 GATE_TIME_DEFAULT = math.pi / 6.0          # units of 1/J, one gate at n = 0
@@ -40,14 +40,6 @@ RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
 MESSAGES_PER_ATTEMPT = 2
 MAX_EXPECTED_ATTEMPTS = 10**6    # bound on a config's mean attempts per trial
 MAX_TRIALS = 10**6               # bound on a batch's trials, checked before any draw
-
-
-def _check_count(name: str, value) -> None:
-    """A count is a Python or numpy integer >= 1; floats and bools are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,7 @@ class ProtocolConfig:
                 raise ConfigurationError(
                     f"{name} must be finite and nonnegative, got {value}")
         if self.target_rounds is not None:
-            _check_count("target_rounds", self.target_rounds)
+            _check_count("target_rounds", self.target_rounds, ConfigurationError)
             # every round takes at least one attempt on average
             if self.target_rounds > MAX_EXPECTED_ATTEMPTS:
                 raise ConfigurationError(
@@ -181,13 +173,13 @@ def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
         return f_current >= config.target_fidelity
 
     while not done():
-        p_succ = closed_form_general(config.f, f_current).success_probability
+        step = closed_form_general(config.f, f_current)
         attempts += 1
         attempts_this_round += 1
         elapsed += config.gate_time
         elapsed += MESSAGES_PER_ATTEMPT * config.message_latency
-        if rng.random() < p_succ * (1.0 - config.p_inconclusive):
-            f_current = closed_form_general(config.f, f_current).fidelity
+        if rng.random() < step.success_probability * (1.0 - config.p_inconclusive):
+            f_current = step.fidelity
             successes += 1
             history.append(f_current)
             attempts_per_round.append(attempts_this_round)
@@ -271,8 +263,8 @@ def simulate_batch(config: ProtocolConfig, trials: int,
     ``min(workers, trials, os.cpu_count())`` chunks, each in its own
     process; one chunk runs in this process.
     """
-    _check_count("trials", trials)
-    _check_count("workers", workers)
+    _check_count("trials", trials, ConfigurationError)
+    _check_count("workers", workers, ConfigurationError)
     # before the per-trial arrays, whose length is ``trials``
     if trials > MAX_TRIALS:
         raise ConfigurationError(f"trials is above the bound of {MAX_TRIALS}")

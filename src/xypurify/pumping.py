@@ -37,7 +37,6 @@ import numpy as np
 from .errors import AnalysisError, DomainError
 from .rounds import bell_diagonal_map, closed_form_general
 
-SATURATION_THRESHOLD = 0.005   # per-round gain below this counts as saturated
 EPSILON_DEFAULT = 1e-3         # fixed-point proximity target of n_optimal
 MAX_ROUNDS = 10_000            # bound on a search along a pump trajectory
 
@@ -67,6 +66,14 @@ class PumpTrace:
     @property
     def fidelities(self) -> list[float]:
         return [self.f] + [r.fidelity for r in self.rounds]
+
+
+def _check_count(name: str, value, error: type[ValueError] = DomainError) -> None:
+    """A count is a Python or numpy integer >= 1; floats and bools are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
 
 
 def fixed_point(f: float) -> float:
@@ -136,8 +143,7 @@ def pump(f: float, n: int, mode: PumpMode = "closed_form") -> PumpTrace:
     """
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs fresh-pair fidelity in (0.5, 1], got {f}")
-    if n < 1:
-        raise DomainError(f"need at least one round, got n={n}")
+    _check_count("n", n)
     if mode == "closed_form":
         trajectory = _werner_rounds(f)
     elif mode == "simulation":
@@ -182,8 +188,7 @@ def saturation_table(f_grid: Iterable[float], n_max: int) -> list[SaturationRow]
     for f in grid:
         if not 0.5 < f <= 1.0:
             raise DomainError(f"grid value {f} outside (0.5, 1]")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_count("n_max", n_max)
     rows: list[SaturationRow] = []
     for f in grid:
         xstar = fixed_point(f)

@@ -31,6 +31,7 @@ probability of either accepted outcome is twice that.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -60,12 +61,17 @@ class OperationalTime:
 
 
 def operational_time(j: float, n: int = 0) -> OperationalTime:
-    """T = pi/3 (n + 1/2) / J; J may take either sign but not zero."""
+    """T = pi/3 (n + 1/2) / J, finite, for J of either sign, not 0, and integer n >= 0."""
     if j == 0 or not math.isfinite(j):
         raise DomainError(f"coupling J must be finite and nonzero, got {j}")
-    if n < 0:
-        raise DomainError(f"time index n must be >= 0, got {n}")
-    return OperationalTime(n, math.pi * (n + 0.5) / (3.0 * j))
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"time index n must be an integer >= 0, got {n!r}")
+    # n + 0.5 converts n to float, which overflows past the float range
+    t = math.pi * (n + 0.5) / (3.0 * j) if n <= sys.float_info.max else math.inf
+    if not math.isfinite(t):
+        raise DomainError(f"operational time T = pi/3 (n + 1/2) / J is not finite: "
+                          f"J = {j} is too small or n too large")
+    return OperationalTime(n, t)
 
 
 @dataclass(frozen=True)

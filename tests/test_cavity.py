@@ -16,7 +16,6 @@ from xypurify import (
     StiffnessError,
     asymptotic_hamiltonian,
     convergence_study,
-    integrate_effective,
     integrate_full,
     solve_geometry,
     xy_agreement,
@@ -25,10 +24,12 @@ from xypurify import cavity
 from xypurify.cavity import (
     _coupling_vector,
     _dop853,
+    _effective_steps,
+    _endpoint,
+    _integrate,
     _mean_hamiltonian_3,
     _propagator,
     _ring_exchange_3,
-    effective_generator,
     distance_mod_phase,
     peak_collective_coupling,
 )
@@ -40,6 +41,25 @@ def default_geom(delta=50.0, ell=1.0, v=0.5, **kw):
 
 C3 = np.array([1.0, 0.0, 0.0], dtype=complex)
 C4 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+
+
+def effective_endpoint(geom, initial):
+    """The eliminated run's endpoint, as xy_agreement reads it."""
+    return _endpoint(_effective_steps(geom, initial), 3)
+
+
+def reference_commutator_ratio(geom):
+    """xy_agreement's commutator_ratio as a loop over pairs of np.outer generators."""
+    mats = []
+    for t in np.linspace(*geom.window(), 25):
+        g = _coupling_vector(geom, t)
+        m = np.outer(g, g) / geom.delta
+        np.fill_diagonal(m, 0.0)
+        mats.append(m)
+    norm_max = max(np.linalg.norm(m, 2) for m in mats)
+    comm_max = max(np.linalg.norm(m1 @ m2 - m2 @ m1, 2)
+                   for i, m1 in enumerate(mats) for m2 in mats[i + 1:])
+    return float(comm_max / norm_max ** 2)
 
 
 class TestGeometry:
@@ -57,6 +77,21 @@ class TestGeometry:
         for d, v in ((0.0, 1e-320), (1e308, 0.5)):
             with pytest.raises(GeometryError):
                 CavityGeometry(**{**fields, "d": d, "v": v})
+
+    def test_transit_phase_bound(self, monkeypatch):
+        # |delta| (t_b - t_a) above MAX_TRANSIT_PHASE is rejected; the bound
+        # itself is allowed
+        geom = default_geom(delta=-50.0)
+        t_a, t_b = geom.window()
+        phase = 50.0 * (t_b - t_a)
+        assert phase < cavity.MAX_TRANSIT_PHASE / 100
+        monkeypatch.setattr(cavity, "MAX_TRANSIT_PHASE", phase)
+        assert replace(geom, delta=50.0).delta == 50.0
+        for delta in (math.nextafter(50.0, math.inf), -100.0):
+            with pytest.raises(GeometryError, match="above the bound"):
+                replace(geom, delta=delta)
+        with pytest.raises(GeometryError, match="above the bound"):
+            replace(geom, v=math.nextafter(geom.v, 0.0))
 
     def test_settable_fields_are_the_four_ratios(self):
         # g0 = w = 1: Delta/g0, ell/w, d/w and v/(w g0) fix the model
@@ -104,6 +139,11 @@ class TestSolveGeometry:
     def test_feasibility_boundary(self):
         ell0 = math.sqrt(math.log(2.0) / 2.0)
         assert solve_geometry(ell0) == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("ell", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_offset_rejected(self, ell):
+        with pytest.raises(GeometryError, match="finite and nonnegative"):
+            solve_geometry(ell)
 
     def test_infeasible_reports_bound(self):
         with pytest.raises(GeometryError) as err:
@@ -221,23 +261,16 @@ class TestFullIntegration:
         steps = len(traj.times) - 1
         assert steps > 3 * cavity._BLOCK_ROWS
         assert peak <= 160 * steps
-        for t, n in ((traj, 4), (integrate_effective(geom, C3), 3)):
-            assert t.times.ndim == 1 and t.times.dtype == np.float64
-            assert t.amplitudes.shape == (len(t.times), n)
-            assert t.amplitudes.dtype == np.complex128
+        assert traj.times.ndim == 1 and traj.times.dtype == np.float64
+        assert traj.amplitudes.shape == (len(traj.times), 4)
+        assert traj.amplitudes.dtype == np.complex128
 
 
 class TestEffectiveIntegration:
-    def test_generator_definition(self):
-        geom = default_geom()
-        t = 0.5 * sum(geom.window())
-        g = _coupling_vector(geom, t)
-        np.testing.assert_allclose(effective_generator(geom, t),
-                                   np.outer(g, g) / geom.delta, atol=1e-15)
-
     def test_frozen_couplings_reduce_to_matrix_exponential(self):
         geom = default_geom()
-        m = effective_generator(geom, 0.5 * sum(geom.window()))
+        g = _coupling_vector(geom, 0.5 * sum(geom.window()))
+        m = np.outer(g, g) / geom.delta
         dt = 0.37
 
         def rhs(t, y):  # y = (Re c, Im c), c' = -i m c
@@ -251,12 +284,15 @@ class TestEffectiveIntegration:
         np.testing.assert_allclose(got, expm(-1j * m * dt) @ C3, atol=1e-10)
 
     def test_norm_preserved(self):
-        traj = integrate_effective(default_geom(), C3)
-        assert traj.norm_drift < 1e-10
+        # y = (Re c, Im c) has the norm of c at every step
+        drift = [abs(np.linalg.norm(y) - 1.0)
+                 for _, y in _effective_steps(default_geom(), C3)]
+        assert len(drift) > 10
+        assert max(drift) < 1e-10
 
     def test_detuning_sign_conjugates(self):
-        end_p = integrate_effective(default_geom(delta=50.0), C3).endpoint
-        end_m = integrate_effective(default_geom(delta=-50.0), C3).endpoint
+        end_p = effective_endpoint(default_geom(delta=50.0), C3)
+        end_m = effective_endpoint(default_geom(delta=-50.0), C3)
         np.testing.assert_allclose(end_m, end_p.conj(), atol=1e-10)
 
     def test_peak_collective_coupling_matches_sample_loop(self):
@@ -270,7 +306,7 @@ class TestEffectiveIntegration:
         for delta in (20.0, 50.0):
             geom = default_geom(delta=delta)
             full = integrate_full(geom, C4).endpoint[1:]
-            eff = integrate_effective(geom, C3).endpoint
+            eff = effective_endpoint(geom, C3)
             gmax = peak_collective_coupling(geom)
             assert np.linalg.norm(full - eff) < 5.0 * gmax / abs(delta)
 
@@ -322,6 +358,35 @@ class TestAgreement:
         assert len(integrate_full(geom, C4).times) > 3 * cavity._BLOCK_ROWS
         assert peak < 16 * 1024
 
+    @pytest.mark.parametrize("delta", [20.0, -20.0, 50.0, -50.0, 100.0, -100.0])
+    def test_stacked_checks_equal_reference_loops(self, delta):
+        # the report's eliminated-side numbers, bit for bit, against the
+        # per-pair loop over np.outer generators and the endpoint of a
+        # stored eliminated trajectory
+        geom = default_geom(delta=delta)
+        full = integrate_full(geom, C4)
+        _, eff = _integrate(_effective_steps(geom, C3), 3)
+        rep = xy_agreement(geom, full=full)
+        assert rep.commutator_ratio == reference_commutator_ratio(geom)
+        assert rep.distance_full_effective == float(
+            np.linalg.norm(full.endpoint[1:] - eff[-1]))
+
+    def test_stacked_commutator_equals_reference_loop_on_random_geometries(self):
+        # the couplings are sampled with math.exp, as the loop samples them:
+        # np.exp samples move the last bit on some of these geometries.  A
+        # two-row stand-in for the exact run keeps the test fast; the ratio
+        # does not read it
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            geom = CavityGeometry(ell=rng.uniform(0.6, 2.0), d=rng.uniform(0.3, 2.5),
+                                  v=rng.uniform(0.2, 1.5),
+                                  delta=rng.choice([-1.0, 1.0]) * rng.uniform(25.0, 80.0))
+            stand_in = cavity.Trajectory(times=np.array(geom.window()),
+                                         amplitudes=np.array([C4, C4]),
+                                         max_photon_population=0.0, norm_drift=0.0)
+            rep = xy_agreement(geom, full=stand_in)
+            assert rep.commutator_ratio == reference_commutator_ratio(geom)
+
     def test_precomputed_trajectory_changes_nothing(self):
         geom = default_geom()
         assert xy_agreement(geom, full=integrate_full(geom, C4)) == xy_agreement(geom)
@@ -346,7 +411,7 @@ class TestScipyReference:
 
     @pytest.mark.parametrize("delta", [20.0, -20.0, 50.0, -50.0, 100.0, -100.0])
     @pytest.mark.parametrize("integrate, initial", [(integrate_full, C4),
-                                                    (integrate_effective, C3)])
+                                                    (effective_endpoint, C3)])
     def test_dop853_steps_equal_solve_ivp(self, monkeypatch, integrate, initial, delta):
         calls = []
 
@@ -356,7 +421,7 @@ class TestScipyReference:
             return iter(calls[-1][1])
 
         monkeypatch.setattr(cavity, "_dop853", spy)
-        traj = integrate(default_geom(delta=delta), initial)
+        out = integrate(default_geom(delta=delta), initial)
         [((fun, t_a, t_b, y0, rtol, atol), steps)] = calls
         times = np.array([t for t, _ in steps])
         states = np.array([y for _, y in steps]).T
@@ -364,11 +429,16 @@ class TestScipyReference:
         assert sol.success
         assert np.array_equal(times, sol.t)
         assert np.array_equal(states, sol.y)
-        # the collector stores them unchanged
         n = len(initial)
-        assert np.array_equal(traj.times, sol.t)
-        assert np.array_equal(traj.amplitudes.real.T, sol.y[:n])
-        assert np.array_equal(traj.amplitudes.imag.T, sol.y[n:])
+        if integrate is integrate_full:
+            # the collector stores them unchanged
+            assert np.array_equal(out.times, sol.t)
+            assert np.array_equal(out.amplitudes.real.T, sol.y[:n])
+            assert np.array_equal(out.amplitudes.imag.T, sol.y[n:])
+        else:
+            # the endpoint keeps the last one unchanged
+            assert np.array_equal(out.real, sol.y[:n, -1])
+            assert np.array_equal(out.imag, sol.y[n:, -1])
 
     def test_blow_up_raises_where_solve_ivp_fails(self):
         # y' = y^2, y(0) = 1 reaches infinity at t = 1

@@ -57,6 +57,14 @@ class TestRoundCommand:
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"] == "DomainError"
 
+    def test_index_past_float_range_exit_2(self, runner):
+        # T would overflow: a DomainError, not an OverflowError traceback
+        result = runner.invoke(main, ["round", "--f", "0.8", "--fprime", "0.7",
+                                      "--at-T", "--n", str(10**400)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+
     def test_mutually_exclusive_time_flags(self, runner):
         result = runner.invoke(main, ["round", "--f", "0.75", "--fprime", "0.75"])
         assert result.exit_code == 2
@@ -243,6 +251,24 @@ class TestValidateCavityCommand:
         run_ok(runner, ["validate-cavity", "--delta", "50", "--ell", "1.0",
                         "--dump-trajectory", str(tmp_path / "traj.csv")])
         assert sorted(calls) == [(6, None), (8, 50.0), (8, 100.0)]
+
+
+class TestTransitPhaseBound:
+    # at --ell 1.0, |delta| (t_b - t_a) is 50 * 11.14 / v: 5.6e11 at v = 1e-9;
+    # at v = 8e-4, 7.0e5 at delta and 1.4e6 at 2 delta
+    @pytest.mark.parametrize("v", ["1e-9", "8e-4"], ids=["delta", "two-delta"])
+    def test_oversized_transit_exit_2(self, runner, monkeypatch, v):
+        # rejected before any integration: one run anyway fails here
+        # instead of taking hours
+        def no_run(*args):
+            raise AssertionError("integrated a geometry above the phase bound")
+        monkeypatch.setattr(cavity, "_dop853", no_run)
+        result = runner.invoke(main, ["validate-cavity", "--delta", "50", "--ell", "1.0",
+                                      "--v", v])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "GeometryError"
+        assert f"above the bound of {cavity.MAX_TRANSIT_PHASE:.3g}" in err["message"]
 
 
 class TestTableBound:

@@ -19,7 +19,7 @@ HEAVY = ("scipy", "concurrent.futures.process")
 CAVITY_NAMES = (
     "AgreementReport", "AsymptoticCouplings",
     "CavityGeometry", "Trajectory", "asymptotic_hamiltonian",
-    "convergence_study", "integrate_effective", "integrate_full",
+    "convergence_study", "integrate_full",
     "solve_geometry", "xy_agreement",
 )
 
@@ -40,7 +40,7 @@ PUBLIC_API = (
     "closed_form_success", "cnot", "cnot_round", "comparison_table",
     "computational_pair", "convergence_study", "errors",
     "evolve_composite", "evolve_triplet", "expected_attempts", "fidelity",
-    "fixed_point", "integrate_effective", "integrate_full", "montecarlo",
+    "fixed_point", "integrate_full", "montecarlo",
     "operational_time", "optimal_rounds", "pump", "pumping",
     "random_bell_diagonal", "restore", "rounds", "run_protocol",
     "run_round", "saturation_table", "scheme_c_pump", "simulate_batch",

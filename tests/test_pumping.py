@@ -14,9 +14,22 @@ from xypurify import (
     pump,
     run_round,
     saturation_table,
+    scheme_c_pump,
     werner,
 )
 from xypurify.pumping import EPSILON_DEFAULT
+
+
+# a round count is an integer >= 1, checked before any round runs
+@pytest.mark.parametrize("n", [2.5, np.nan, True, 0], ids=["float", "nan", "bool", "zero"])
+@pytest.mark.parametrize("entry", [
+    lambda n: pump(0.8, n),
+    lambda n: saturation_table([0.8], n),
+    lambda n: scheme_c_pump(0.8, n),
+], ids=["pump", "saturation_table", "scheme_c_pump"])
+def test_round_count_is_an_integer(entry, n):
+    with pytest.raises(DomainError, match=r"^n(_max)? must be (an integer|>= 1), got"):
+        entry(n)
 
 
 class TestPump:

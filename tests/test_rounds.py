@@ -168,6 +168,19 @@ def test_coupling_finite_and_nonzero(entry, j):
         entry(j)
 
 
+# n is a count, and T = pi/3 (n + 1/2) / J must be a finite float
+@pytest.mark.parametrize("j, n", [(1.0, np.nan), (1.0, 2.5), (1.0, True),
+                                  (1e-320, 0), (1.0, 10**400)],
+                         ids=["n-nan", "n-float", "n-bool", "j-subnormal", "n-past-floats"])
+def test_operational_time_rejects_non_count_or_infinite_t(j, n):
+    with pytest.raises(DomainError, match="must be an integer >= 0|not finite"):
+        operational_time(j, n)
+
+
+def test_operational_time_takes_numpy_integers():
+    assert operational_time(1.0, np.int64(2)) == operational_time(1.0, 2)
+
+
 class TestRunRound:
     def test_peak_fidelity(self):
         result = run_round(make_input(0.75, 0.75, T))
