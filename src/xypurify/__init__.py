@@ -13,12 +13,8 @@ from .cavity import (
     xy_agreement,
 )
 from .cnot import (
-    CnotRoundResult,
     ComparisonRow,
-    U_MINUS,
-    U_PLUS,
     closed_form_cnot,
-    cnot_round,
     comparison_table,
     scheme_c_pump,
 )
@@ -62,7 +58,6 @@ from .rounds import (
     closed_form_general,
     closed_form_success,
     operational_time,
-    restore,
     run_round,
 )
 from .states import (
@@ -73,6 +68,7 @@ from .states import (
     fidelity,
     random_bell_diagonal,
     werner,
+    werner_weights,
 )
 from .xy import (
     EvolutionOperator,

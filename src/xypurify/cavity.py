@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -209,11 +210,14 @@ class CavityGeometry:
     z0: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.v < math.inf:
+        # bounded by the float range, not by inf, so that ints past it
+        # fail here and not in float arithmetic later
+        big = sys.float_info.max
+        if not 0 < self.v <= big:
             raise GeometryError("v must be positive and finite")
-        if self.delta == 0 or not math.isfinite(self.delta):
+        if self.delta == 0 or not abs(self.delta) <= big:
             raise GeometryError("detuning must be finite and nonzero")
-        if not (0 <= self.d < math.inf and 0 <= self.ell < math.inf):
+        if not (0 <= self.d <= big and 0 <= self.ell <= big):
             raise GeometryError("distances d and ell must be finite and nonnegative")
         # a field, not a property: the integrators' right-hand sides read it
         # on every step
@@ -448,7 +452,7 @@ def solve_geometry(ell: float) -> float:
     2 ell^2 >= ln 2; below that bound no spacing can compensate the pair
     overlap.
     """
-    if not 0 <= ell < math.inf:
+    if not 0 <= ell <= sys.float_info.max:
         raise GeometryError(f"offset ell must be finite and nonnegative, got {ell}")
     bound = math.sqrt(math.log(2.0) / 2.0)
     if ell < bound:

@@ -8,19 +8,18 @@ the target pair accepting equal outcomes {00, 11}.  For Werner x
 Werner inputs the kept-pair fidelity is the rational map
 :func:`closed_form_cnot`, with success probability (5 - 4f + 8f^2)/9.
 
-The sign assignment (plus on A, minus on B) is pinned by requiring the
-simulated circuit to reproduce the closed form to 1e-12; the mirrored
-assignment works equally well, the same-sign ones do not.
-
 With these rotations the round is the DEJMPS protocol (Deutsch et al.,
 PRL 77, 2818, 1996).  A Bell-diagonal source with a Werner(f) target
-stays Bell-diagonal, and its Bell weights follow a 4x4 map in f.  The
-fixed point of :func:`scheme_c_pump` is that map's Perron eigenvector,
-and its optimal round count iterates the map through the shared
-Bell-weight iterator of :mod:`xypurify.pumping`.  :func:`cnot_round`
-simulates the four-qubit circuit, computes the rounds
-:func:`scheme_c_pump` reports, and stays the oracle the map is tested
-against.
+stays Bell-diagonal, and its Bell weights follow the 4x4 map
+``_dejmps_map`` in f.  Every round this module reports runs through
+that map and the shared Bell-weight iterator of
+:mod:`xypurify.pumping`: the rounds of :func:`scheme_c_pump` and
+:func:`comparison_table`, and the optimal round count.  The fixed point
+is the map's Perron eigenvector.  No circuit is simulated here; the
+tests keep the four-qubit circuit as the oracle that the map, the sign
+assignment of the rotations and :func:`closed_form_cnot` are checked
+against (the mirrored sign assignment works equally well, the
+same-sign ones do not).
 """
 from __future__ import annotations
 
@@ -29,72 +28,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ZeroProbabilityError
-from .pumping import PumpRound, PumpTrace, _bell_rounds, _check_count, _rounds_within
+from .errors import DomainError
+from .pumping import PumpTrace, _bell_rounds, _check_count, _pump_rounds, _rounds_within
 from .rounds import closed_form_general
-from .states import DensityMatrix, fidelity, werner
-
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-U_PLUS = (_I2 + 1j * _X) / np.sqrt(2.0)
-U_MINUS = (_I2 - 1j * _X) / np.sqrt(2.0)
-
-
-def _kron(*ops: np.ndarray) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
-def _cnot(n: int, control: int, target: int) -> np.ndarray:
-    dim = 2 ** n
-    m = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - k)) & 1 for k in range(n)]
-        if bits[control]:
-            bits[target] ^= 1
-        row = sum(b << (n - 1 - k) for k, b in enumerate(bits))
-        m[row, col] = 1.0
-    return m
-
-# qubit order inside the round: (1A, 1B, 2A, 2B); the source (1A, 1B) is kept
-_GATE = (_cnot(4, 0, 2) @ _cnot(4, 1, 3)) @ _kron(U_PLUS, U_MINUS, U_PLUS, U_MINUS)
-_GATE.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class CnotRoundResult:
-    post_state: DensityMatrix
-    fidelity: float
-    success_probability: float
-
-
-def cnot_round(source: DensityMatrix, target: DensityMatrix) -> CnotRoundResult:
-    """One baseline purification round; keeps the source pair.
-
-    Success means equal outcomes on the measured target pair; the
-    post-selected state mixes both accepted branches.  Only the returned
-    pair is a validated :class:`DensityMatrix`.
-    """
-    if source.dim != 4 or target.dim != 4:
-        raise DomainError("source and target must be two-qubit states")
-    rho = _GATE @ np.kron(source.matrix, target.matrix) @ _GATE.conj().T
-    t = rho.reshape((2,) * 8)
-    post = np.zeros((4, 4), dtype=complex)
-    p_succ = 0.0
-    for b in (0, 1):
-        block = t[:, :, b, b, :, :, b, b].reshape(4, 4)
-        p_succ += float(np.real(block.trace()))
-        post += block
-    if not p_succ >= 1e-14:
-        raise ZeroProbabilityError("both accepted outcomes have zero probability")
-    post_state = DensityMatrix(post / p_succ)
-    return CnotRoundResult(
-        post_state=post_state,
-        fidelity=fidelity(post_state),
-        success_probability=p_succ,
-    )
 
 
 def closed_form_cnot(f: float) -> float:
@@ -114,7 +50,7 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs f in (0.5, 1], got {f}")
     _check_count("n", n)
-    rounds = _scheme_c_rounds(f, n)
+    rounds = _pump_rounds(_bell_rounds(_dejmps_map(f), f), f, n)
     xstar = _scheme_c_fixed_point(f)
     return PumpTrace(
         f=f,
@@ -123,21 +59,6 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
         fixed_point=xstar,
         n_optimal=_rounds_within(_bell_rounds(_dejmps_map(f), f), f, xstar),
     )
-
-
-def _scheme_c_rounds(f: float, n: int) -> tuple[PumpRound, ...]:
-    """The first n rounds of :func:`scheme_c_pump`, each a :func:`cnot_round`."""
-    stored = target = werner(f)
-    rounds: list[PumpRound] = []
-    current = f
-    for k in range(1, n + 1):
-        res = cnot_round(stored, target)
-        stored = res.post_state
-        rounds.append(PumpRound(n=k, fidelity=res.fidelity,
-                                delta=res.fidelity - current,
-                                success_probability=res.success_probability))
-        current = res.fidelity
-    return tuple(rounds)
 
 
 def _dejmps_map(f: float) -> np.ndarray:
@@ -191,7 +112,7 @@ def comparison_table(f_grid: Iterable[float]) -> list[ComparisonRow]:
             raise DomainError(f"grid value {f} outside (0.5, 1)")
         xy = closed_form_general(f, f).fidelity
         base = closed_form_cnot(f)
-        two = _scheme_c_rounds(f, 2)[-1].fidelity
+        two = _pump_rounds(_bell_rounds(_dejmps_map(f), f), f, 2)[-1].fidelity
         rows.append(ComparisonRow(f=f, xy_one_round=xy, cnot_one_round=base,
                                   scheme_c_two_rounds=two))
     return rows

