@@ -28,6 +28,10 @@ operations in the same order, so its steps and states equal
 It yields the accepted steps and stores none of them: only
 :func:`integrate_full` collects them, into a :class:`Trajectory`;
 :func:`xy_agreement` and :func:`convergence_study` keep only endpoints.
+The right-hand sides it calls work on y = (Re c, Im c) in plain Python
+float arithmetic, summing g . c left to right, and build one array per
+call, the returned derivative: on vectors of 3 to 8 entries numpy's
+per-call cost would outweigh the arithmetic.
 The transit integrals use Gauss-Legendre quadrature, and the constant
 models' propagators the eigendecomposition of their real symmetric
 generators.
@@ -50,6 +54,7 @@ DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN waists
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
 MAX_TRANSIT_PHASE = 10**6   # bound on |delta| (t_b - t_a), checked before any run
+_ELL_MAX = math.sqrt(sys.float_info.max)  # the largest ell whose ell ** 2 is finite
 
 # Dormand & Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
 # Differential Equations I, Sec. II.10), digits as in Hairer's dop853.f: the
@@ -113,7 +118,7 @@ _DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
 
 
-_BLOCK_ROWS = 256  # rows per block stored by _integrate and reduced by _row_max
+_BLOCK_ROWS = 256  # rows _integrate starts with, and rows _row_max reduces at once
 
 
 def _rms(x: np.ndarray) -> float:
@@ -182,6 +187,18 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
         yield t, y
 
 
+def _check_offset(ell: float) -> None:
+    """Reject an offset ell that is negative, not finite, or whose square is not.
+
+    Every coupling reads ell^2, so the bound is sqrt of the float range,
+    ~1.34e154; an int past the float range fails the comparison too.
+    """
+    if not 0 <= ell <= _ELL_MAX:
+        raise GeometryError(
+            f"offset ell must be finite and nonnegative, with a finite square "
+            f"(ell <= {_ELL_MAX:.4g}), got {ell}")
+
+
 @dataclass(frozen=True)
 class CavityGeometry:
     """Couplings and positions of the conveyed pair and the trapped atom.
@@ -217,8 +234,9 @@ class CavityGeometry:
             raise GeometryError("v must be positive and finite")
         if self.delta == 0 or not abs(self.delta) <= big:
             raise GeometryError("detuning must be finite and nonzero")
-        if not (0 <= self.d <= big and 0 <= self.ell <= big):
-            raise GeometryError("distances d and ell must be finite and nonnegative")
+        if not 0 <= self.d <= big:
+            raise GeometryError("distance d must be finite and nonnegative")
+        _check_offset(self.ell)
         # a field, not a property: the integrators' right-hand sides read it
         # on every step
         start = -DEFAULT_SPAN - self.d
@@ -348,21 +366,26 @@ def _integrate(steps: Iterator[tuple[float, np.ndarray]], n: int
     """Times and (steps, n) complex amplitudes of the states y = (Re c, Im c).
 
     The one collector that stores steps: each time and the amplitudes
-    of its state go straight into blocks of _BLOCK_ROWS rows, with no
-    copy of the real state, and the blocks are joined once at the end.
+    of its state go straight into one array of each, with no copy of the
+    real state.  Both start at _BLOCK_ROWS rows, grow in place by a
+    quarter when full and are cut to the step count at the end, so each
+    step is stored once and at most a quarter of the rows stand empty.
     """
-    t_blocks, c_blocks, row = [], [], _BLOCK_ROWS
+    times = np.empty(_BLOCK_ROWS)
+    amplitudes = np.empty((_BLOCK_ROWS, n), dtype=complex)
+    row = 0
     for t, y in steps:
-        if row == _BLOCK_ROWS:
-            t_blocks.append(np.empty(_BLOCK_ROWS))
-            c_blocks.append(np.empty((_BLOCK_ROWS, n), dtype=complex))
-            row = 0
-        t_blocks[-1][row] = t
-        c = c_blocks[-1][row]
+        if row == len(times):
+            # no view of either array is read after this
+            times.resize(row + row // 4, refcheck=False)
+            amplitudes.resize((len(times), n), refcheck=False)
+        times[row] = t
+        c = amplitudes[row]
         c.real, c.imag = y[:n], y[n:]
         row += 1
-    t_blocks[-1], c_blocks[-1] = t_blocks[-1][:row], c_blocks[-1][:row]
-    return np.concatenate(t_blocks), np.concatenate(c_blocks)
+    times.resize(row, refcheck=False)
+    amplitudes.resize((row, n), refcheck=False)
+    return times, amplitudes
 
 
 def _row_max(c: np.ndarray, per_row) -> float:
@@ -384,15 +407,16 @@ def _full_steps(geom: CavityGeometry, c_init: np.ndarray
     v, g3 = geom.v, geom.g_trapped
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # y = (Re c, Im c); the sums g . c_atoms use np.dot, the reduction
-        # numpy applies to each part of a complex g @ c, so the step
-        # sequence is the one complex arithmetic gives
+        # y = (Re c, Im c), read as Python floats: the arithmetic is plain
+        # float arithmetic, the sums g . c_atoms taken left to right, and
+        # the returned 8-vector is the one array built
+        r0, r1, r2, r3, i0, i1, i2, i3 = y.tolist()
         g1 = math.exp(-(z1 + v * t) ** 2)
         g2 = math.exp(-(z2 + v * t) ** 2)
-        g = np.array((g1, g2, g3))
-        r0, i0 = float(y[0]), float(y[4])
-        return np.array((g @ y[1:4] - delta * i0, -g1 * r0, -g2 * r0, -g3 * r0,
-                         g @ y[5:8] + delta * r0, -g1 * i0, -g2 * i0, -g3 * i0))
+        return np.array((g1 * r1 + g2 * r2 + g3 * r3 - delta * i0,
+                         -g1 * r0, -g2 * r0, -g3 * r0,
+                         g1 * i1 + g2 * i2 + g3 * i3 + delta * r0,
+                         -g1 * i0, -g2 * i0, -g3 * i0))
 
     try:
         yield from _steps(rhs, geom, c_init)
@@ -407,12 +431,20 @@ def _effective_steps(geom: CavityGeometry, c_init: np.ndarray
                      ) -> Iterator[tuple[float, np.ndarray]]:
     """_steps of the eliminated dynamics i c' = M c, M = g g^T / delta Hermitian."""
     inv_delta = 1.0 / geom.delta  # numpy's complex / real divides this way
+    z1, z2 = geom.z0
+    v, g3 = geom.v, geom.g_trapped
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # y = (Re c, Im c); c' = -i g (g.c) / delta with real g
-        g = _coupling_vector(geom, t)
-        s_re, s_im = np.dot(g, y[:3]), np.dot(g, y[3:])
-        return np.concatenate([g * s_im * inv_delta, -g * s_re * inv_delta])
+        # y = (Re c, Im c); c' = -i g (g.c) / delta with real g, in Python
+        # floats as in _full_steps
+        r1, r2, r3, i1, i2, i3 = y.tolist()
+        g1 = math.exp(-(z1 + v * t) ** 2)
+        g2 = math.exp(-(z2 + v * t) ** 2)
+        s_re = g1 * r1 + g2 * r2 + g3 * r3
+        s_im = g1 * i1 + g2 * i2 + g3 * i3
+        return np.array((g1 * s_im * inv_delta, g2 * s_im * inv_delta, g3 * s_im * inv_delta,
+                         -g1 * s_re * inv_delta, -g2 * s_re * inv_delta,
+                         -g3 * s_re * inv_delta))
 
     return _steps(rhs, geom, c_init)
 
@@ -452,8 +484,7 @@ def solve_geometry(ell: float) -> float:
     2 ell^2 >= ln 2; below that bound no spacing can compensate the pair
     overlap.
     """
-    if not 0 <= ell <= sys.float_info.max:
-        raise GeometryError(f"offset ell must be finite and nonnegative, got {ell}")
+    _check_offset(ell)
     bound = math.sqrt(math.log(2.0) / 2.0)
     if ell < bound:
         raise GeometryError(

@@ -251,6 +251,48 @@ class TestValidateCavityCommand:
             parts = [t] + [x for ck in c for x in (ck.real, ck.imag)] + [abs(c[0]) ** 2]
             assert row == [format(float(x), ".12g") for x in parts]
 
+    # the integrator-dependent numbers as the right-hand sides built from
+    # numpy arrays and np.dot gave them; the float sums agree to 3.4e-10
+    # relative, and a new integrator has to show how far it moves them
+    @pytest.mark.parametrize("delta, pinned", [
+        ("50", dict(distance_full_mean=0.036927394355024776,
+                    distance_full_mean_raw=0.04403758800652604,
+                    distance_full_effective=0.0002986007825975257,
+                    max_photon_population=0.00039941163423170656,
+                    distance_halving_ratio=0.4995746291356816)),
+        ("-50", dict(distance_full_mean=0.03692739435502778,
+                     distance_full_mean_raw=0.044037588006526025,
+                     distance_full_effective=0.0002986007825975257,
+                     max_photon_population=0.00039941163423170656,
+                     distance_halving_ratio=0.499574629135641)),
+    ])
+    def test_integrator_numbers_pinned(self, runner, delta, pinned):
+        payload = json.loads(run_ok(runner, ["validate-cavity", "--delta", delta,
+                                             "--ell", "1.0"]).stdout)
+        got = {**payload["agreement"],
+               "distance_halving_ratio": payload["distance_halving_ratio"]}
+        for key, value in pinned.items():
+            assert got[key] == pytest.approx(value, rel=1e-8, abs=0), key
+
+    # ell^2 overflows past sqrt(float max) ~ 1.34e154: rejected before any
+    # coupling squares it, by the library and by the CLI
+    @pytest.mark.parametrize("ell", ["1e200", "1.4e154", "1.3407807929942597e154"])
+    def test_offset_with_overflowing_square_exit_2(self, runner, monkeypatch, ell):
+        def no_run(*args):
+            raise AssertionError("integrated a geometry with an overflowing ell^2")
+        monkeypatch.setattr(cavity, "_dop853", no_run)
+        with pytest.raises(cavity.GeometryError, match="finite square"):
+            cavity.solve_geometry(float(ell))
+        with pytest.raises(cavity.GeometryError, match="finite square"):
+            cavity.CavityGeometry(ell=float(ell), d=1.0, v=0.5, delta=50.0)
+        for extra in ([], ["--d", "1.0"]):
+            result = runner.invoke(main, ["validate-cavity", "--delta", "50",
+                                          "--ell", ell] + extra)
+            assert result.exit_code == 2, result.output
+            err = json.loads(result.stderr.strip().splitlines()[-1])
+            assert err["error"] == "GeometryError"
+            assert "finite square" in err["message"]
+
     def test_one_integration_per_detuning(self, runner, tmp_path, monkeypatch):
         # counted where the integrator runs, so the endpoint-only run at
         # 2 delta counts as well as the stored ones
