@@ -41,11 +41,8 @@ from .montecarlo import (
 from .pumping import (
     PumpRound,
     PumpTrace,
-    SaturationRow,
     fixed_point,
-    optimal_rounds,
     pump,
-    saturation_table,
 )
 from .rounds import (
     OperationalTime,

@@ -54,7 +54,7 @@ DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN waists
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
 MAX_TRANSIT_PHASE = 10**6   # bound on |delta| (t_b - t_a), checked before any run
-_ELL_MAX = math.sqrt(sys.float_info.max)  # the largest ell whose ell ** 2 is finite
+MAX_OFFSET = 15.0           # bound on ell, checked before any run (_check_offset)
 
 # Dormand & Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
 # Differential Equations I, Sec. II.10), digits as in Hairer's dop853.f: the
@@ -188,15 +188,21 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
 
 
 def _check_offset(ell: float) -> None:
-    """Reject an offset ell that is negative, not finite, or whose square is not.
+    """Reject an offset ell that is negative, not finite, or above MAX_OFFSET.
 
-    Every coupling reads ell^2, so the bound is sqrt of the float range,
-    ~1.34e154; an int past the float range fails the comparison too.
+    The trapped atom couples with exp(-ell^2), and the commutator check
+    of :func:`xy_agreement` divides by the square of a generator of that
+    size, exp(-2 ell^2) / delta^2.  Past ell ~ 19.2 at |delta| = 50 (and
+    ell ~ 18.1 at |delta| = 1e11) that square underflows and the check
+    reads 0/0; past ell ~ 26.6 the closed-form pair coupling exp(ell^2)
+    at d = 0 overflows.  MAX_OFFSET = 15 keeps exp(-2 ell^2) >= 1e-196.
+    A nan, an inf and an int past the float range fail the comparison too.
     """
-    if not 0 <= ell <= _ELL_MAX:
+    if not 0 <= ell <= MAX_OFFSET:
         raise GeometryError(
-            f"offset ell must be finite and nonnegative, with a finite square "
-            f"(ell <= {_ELL_MAX:.4g}), got {ell}")
+            f"offset ell must be finite and nonnegative, at most the bound of "
+            f"{MAX_OFFSET:g} where the couplings exp(-ell^2) stay normal "
+            f"floats, got {ell}")
 
 
 @dataclass(frozen=True)

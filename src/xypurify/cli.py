@@ -203,9 +203,9 @@ def cmd_fig6(f_min: float, f_max: float, f_steps: int, n_max: int,
     if n_max < 4:
         raise click.UsageError("n-max must be at least 4 for the comparison rows")
     grid = _float_grid(f_min, f_max, f_steps, f_steps * n_max)
-    table = [(r.f, r.n, r.fidelity, r.f_hat, r.f_bar, r.success_probability,
-              r.fixed_point)
-             for r in pumping.saturation_table(grid, n_max)]
+    table = [(t.f, r.n, r.fidelity, r.fidelity - t.f, r.delta,
+              r.success_probability, t.fixed_point)
+             for t in (pumping.pump(f, n_max) for f in grid) for r in t.rounds]
     _emit_csv(["f", "n", "F_n", "F_hat", "F_bar", "P_succ", "fixed_point"],
               table, output)
 

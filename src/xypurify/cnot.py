@@ -13,9 +13,11 @@ PRL 77, 2818, 1996).  A Bell-diagonal source with a Werner(f) target
 stays Bell-diagonal, and its Bell weights follow the 4x4 map
 ``_dejmps_map`` in f.  Every round this module reports runs through
 that map and the shared Bell-weight iterator of
-:mod:`xypurify.pumping`: the rounds of :func:`scheme_c_pump` and
-:func:`comparison_table`, and the optimal round count.  The fixed point
-is the map's Perron eigenvector.  No circuit is simulated here; the
+:mod:`xypurify.pumping`: :func:`comparison_table` reads its two rounds
+from the iterator, and :func:`scheme_c_pump` records its rounds and
+optimal round count in the one pump-sequence record,
+:class:`xypurify.pumping.PumpTrace`.  The fixed point is the map's
+Perron eigenvector.  No circuit is simulated here; the
 tests keep the four-qubit circuit as the oracle that the map, the sign
 assignment of the rotations and :func:`closed_form_cnot` are checked
 against (the mirrored sign assignment works equally well, the
@@ -24,12 +26,13 @@ same-sign ones do not).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .pumping import PumpTrace, _bell_rounds, _check_count, _pump_rounds, _rounds_within
+from .pumping import PumpTrace, _bell_rounds, _check_count, _trace
 from .rounds import closed_form_general
 
 
@@ -50,15 +53,7 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs f in (0.5, 1], got {f}")
     _check_count("n", n)
-    rounds = _pump_rounds(_bell_rounds(_dejmps_map(f), f), f, n)
-    xstar = _scheme_c_fixed_point(f)
-    return PumpTrace(
-        f=f,
-        rounds=rounds,
-        f_hat=rounds[-1].fidelity - f,
-        fixed_point=xstar,
-        n_optimal=_rounds_within(_bell_rounds(_dejmps_map(f), f), f, xstar),
-    )
+    return _trace(f, n, _bell_rounds(_dejmps_map(f), f), _scheme_c_fixed_point(f))
 
 
 def _dejmps_map(f: float) -> np.ndarray:
@@ -112,7 +107,7 @@ def comparison_table(f_grid: Iterable[float]) -> list[ComparisonRow]:
             raise DomainError(f"grid value {f} outside (0.5, 1)")
         xy = closed_form_general(f, f).fidelity
         base = closed_form_cnot(f)
-        two = _pump_rounds(_bell_rounds(_dejmps_map(f), f), f, 2)[-1].fidelity
+        _, (two, _) = islice(_bell_rounds(_dejmps_map(f), f), 2)
         rows.append(ComparisonRow(f=f, xy_one_round=xy, cnot_one_round=base,
                                   scheme_c_two_rounds=two))
     return rows

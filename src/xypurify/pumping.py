@@ -5,7 +5,8 @@ fidelity-f pairs.  Two modes:
 
 * ``closed_form``: iterate the scalar recurrence F_k = F(T, f, F_{k-1})
   of :func:`xypurify.rounds.closed_form_general`.  This is the map the
-  saturation analysis and all reported tables use.
+  saturation table (``xypurify fig6``, read from :func:`pump` traces)
+  and all reported tables use.
 * ``simulation``: carry the four Bell weights of the stored pair between
   rounds through the exact Bell-weight map
   :func:`xypurify.rounds.bell_diagonal_map`, which reproduces the
@@ -19,10 +20,12 @@ stored pair back to Werner form before each round.
 One iterator serves each kind of round map: ``_werner_rounds`` runs the
 scalar recurrence and ``_bell_rounds`` any 4x4 Bell-weight map (the
 exact XY map above or the DEJMPS map of :mod:`xypurify.cnot`), from the
-Werner weights of :func:`xypurify.states.werner_weights`;
-``_pump_rounds`` records the first n rounds of either, and
-``_rounds_within`` is the one optimal-round search over either.
-:mod:`xypurify.cnot` and :mod:`xypurify.montecarlo` iterate through them.
+Werner weights of :func:`xypurify.states.werner_weights`.  A pump
+sequence has one record, :class:`PumpTrace`, built by ``_trace`` from
+either iterator: the first n rounds and the optimal round count
+``n_optimal``, the one optimal-round search.  :func:`pump` and
+:func:`xypurify.cnot.scheme_c_pump` build their traces through it;
+:mod:`xypurify.montecarlo` iterates the recurrence directly.
 Fixed points are not searched for: the recurrence's is the root of a
 quadratic (:func:`fixed_point`), and a Bell-weight map's is its Perron
 eigenvector.
@@ -31,8 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Literal, Sequence
+from itertools import islice, tee
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -97,11 +100,6 @@ def fixed_point(f: float) -> float:
     return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
 
-def optimal_rounds(f: float) -> int:
-    """Smallest n with fixed_point(f) - F_n < EPSILON_DEFAULT."""
-    return _rounds_within(_werner_rounds(f), f, fixed_point(f))
-
-
 def _werner_rounds(f: float) -> Iterator[tuple[float, float]]:
     """(F_k, P_k) for k = 1, 2, ... on the scalar recurrence from F_0 = f."""
     current = f
@@ -126,91 +124,47 @@ def _bell_rounds(transfer: np.ndarray, f: float) -> Iterator[tuple[float, float]
         yield float(weights[0]), p
 
 
-def _rounds_within(trajectory: Iterator[tuple[float, float]], f: float,
-                   target: float) -> int:
-    """Smallest n with target - F_n < EPSILON_DEFAULT on a trajectory from F_0 = f."""
-    if target - f < EPSILON_DEFAULT:
-        return 0
-    for n, (fid, _) in enumerate(islice(trajectory, MAX_ROUNDS), start=1):
-        if target - fid < EPSILON_DEFAULT:
-            return n
-    raise AnalysisError(f"pump map failed to approach its fixed point for f={f}")
+def _trace(f: float, n: int, trajectory: Iterator[tuple[float, float]],
+           xstar: float, search: Iterator[tuple[float, float]] | None = None
+           ) -> PumpTrace:
+    """The first n rounds of a trajectory from F_0 = f, as a :class:`PumpTrace`.
 
-
-def _pump_rounds(trajectory: Iterator[tuple[float, float]], f: float,
-                 n: int) -> tuple[PumpRound, ...]:
-    """The first n rounds of a trajectory from F_0 = f, as :class:`PumpRound` records."""
+    ``n_optimal`` is the smallest n with xstar - F_n < EPSILON_DEFAULT
+    along ``search``, a trajectory from the same f; without one, along
+    ``trajectory`` itself, whose rounds are then computed once.
+    """
+    if search is None:
+        trajectory, search = tee(trajectory)
     rounds: list[PumpRound] = []
     current = f
     for k, (fid, p) in enumerate(islice(trajectory, n), start=1):
         rounds.append(PumpRound(n=k, fidelity=fid, delta=fid - current,
                                 success_probability=p))
         current = fid
-    return tuple(rounds)
+    n_optimal = 0
+    if xstar - f >= EPSILON_DEFAULT:
+        for n_optimal, (fid, _) in enumerate(islice(search, MAX_ROUNDS), start=1):
+            if xstar - fid < EPSILON_DEFAULT:
+                break
+        else:
+            raise AnalysisError(f"pump map failed to approach its fixed point for f={f}")
+    return PumpTrace(f=f, rounds=tuple(rounds), f_hat=current - f,
+                     fixed_point=xstar, n_optimal=n_optimal)
 
 
 def pump(f: float, n: int, mode: PumpMode = "closed_form") -> PumpTrace:
     """Run n successful pumping rounds with fresh fidelity-f pairs.
 
-    ``n_optimal`` of the trace is :func:`optimal_rounds`: the rounds the
-    scalar recurrence needs to come within EPSILON_DEFAULT of
+    ``n_optimal`` of the trace is the number of rounds the scalar
+    recurrence needs to come within EPSILON_DEFAULT of
     :func:`fixed_point`, whichever ``mode`` ran the n rounds.
     """
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs fresh-pair fidelity in (0.5, 1], got {f}")
     _check_count("n", n)
     if mode == "closed_form":
-        trajectory = _werner_rounds(f)
-    elif mode == "simulation":
-        trajectory = _bell_rounds(bell_diagonal_map(f), f)
-    else:
-        raise DomainError(f"unknown pump mode {mode!r}")
-
-    rounds = _pump_rounds(trajectory, f, n)
-    xstar = fixed_point(f)
-    return PumpTrace(
-        f=f,
-        rounds=rounds,
-        f_hat=rounds[-1].fidelity - f,
-        fixed_point=xstar,
-        n_optimal=_rounds_within(_werner_rounds(f), f, xstar),
-    )
-
-
-@dataclass(frozen=True)
-class SaturationRow:
-    """One (f, n) entry of the pumping saturation table."""
-
-    f: float
-    n: int
-    fidelity: float      # F_n
-    f_hat: float         # F_n - f
-    f_bar: float         # F_n - F_{n-1}
-    success_probability: float
-    fixed_point: float
-
-
-def saturation_table(f_grid: Iterable[float], n_max: int) -> list[SaturationRow]:
-    """Closed-form pumping table over a fidelity grid, rounds 1..n_max."""
-    grid: Sequence[float] = list(f_grid)
-    if not grid:
-        raise DomainError("empty fidelity grid")
-    for f in grid:
-        if not 0.5 < f <= 1.0:
-            raise DomainError(f"grid value {f} outside (0.5, 1]")
-    _check_count("n_max", n_max)
-    rows: list[SaturationRow] = []
-    for f in grid:
-        xstar = fixed_point(f)
-        current = f
-        for k, (fid, p) in enumerate(islice(_werner_rounds(f), n_max), start=1):
-            rows.append(SaturationRow(
-                f=f, n=k,
-                fidelity=fid,
-                f_hat=fid - f,
-                f_bar=fid - current,
-                success_probability=p,
-                fixed_point=xstar,
-            ))
-            current = fid
-    return rows
+        return _trace(f, n, _werner_rounds(f), fixed_point(f))
+    if mode == "simulation":
+        return _trace(f, n, _bell_rounds(bell_diagonal_map(f), f), fixed_point(f),
+                      _werner_rounds(f))
+    raise DomainError(f"unknown pump mode {mode!r}")

@@ -47,7 +47,12 @@ def _xy_unit() -> np.ndarray:
 
 
 _XY_UNIT = _xy_unit()
-_XY_UNIT.setflags(write=False)
+# its eigendecomposition, computed once per process and read-only like H
+_XY_W, _XY_V = np.linalg.eigh(_XY_UNIT)
+_XY_V_H = _XY_V.conj().T
+_XY_PHASE_MAX = float(np.abs(_XY_W).max())  # 4.0, the largest |eigenvalue|
+for _array in (_XY_UNIT, _XY_W, _XY_V, _XY_V_H):
+    _array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,9 @@ def evolve_triplet(t: float) -> EvolutionOperator:
     which rejects a non-finite t and a finite one whose phase overflows.
     Python floats overflow to inf without numpy's RuntimeWarning.
     """
-    w, v = np.linalg.eigh(_XY_UNIT)
-    if not math.isfinite(t * float(np.abs(w).max())):
+    if not math.isfinite(t * _XY_PHASE_MAX):
         raise DomainError(f"evolution phase must be finite, got t={t}")
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    u = (_XY_V * np.exp(-1j * _XY_W * t)) @ _XY_V_H
     return EvolutionOperator(u)
 
 

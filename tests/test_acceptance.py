@@ -26,9 +26,9 @@ from xypurify import (
     evolve_composite,
     expected_attempts,
     operational_time,
+    pump,
     random_bell_diagonal,
     run_round,
-    saturation_table,
     scheme_c_pump,
     simulate_batch,
     solve_geometry,
@@ -146,8 +146,7 @@ def test_criterion_05_restoration():
 def test_criterion_06_saturation_structure():
     with _Budget("6 saturation structure", 5.0):
         f_grid = (0.55, 0.65, 0.75, 0.85, 0.95)
-        rows = saturation_table(f_grid, n_max=10)
-        gain = {(r.f, r.n): r.f_bar for r in rows}
+        gain = {(f, r.n): r.delta for f in f_grid for r in pump(f, 10).rounds}
         for n in (1, 2):
             best = max(f_grid, key=lambda f: gain[(f, n)])
             assert best == 0.75

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from xypurify import cavity, cli, werner
+from xypurify import cavity, cli, pump, werner
 from xypurify.cli import main
 from xypurify.montecarlo import MAX_TRIALS
 
@@ -174,6 +174,19 @@ class TestFig6Command:
         assert "," not in cell and cell.count(".") <= 1
 
 
+    def test_default_csv_is_pump_traces(self, runner):
+        # every round of pump(f, 10) on the default grid, at 12 digits
+        lines = ["f,n,F_n,F_hat,F_bar,P_succ,fixed_point"]
+        for f in np.linspace(0.55, 0.95, 41):
+            trace = pump(f, 10)
+            for r in trace.rounds:
+                cells = (f, r.n, r.fidelity, r.fidelity - f, r.delta,
+                         r.success_probability, trace.fixed_point)
+                lines.append(",".join(format(c, ".12g") if isinstance(c, float)
+                                      else str(c) for c in cells))
+        assert run_ok(runner, ["fig6"]).stdout == "\n".join(lines) + "\n"
+
+
 class TestCsvOutput:
     @pytest.mark.parametrize("args", [["fig5", "--panel", "c"], ["fig6"]],
                              ids=["fig5-c", "fig6"])
@@ -274,24 +287,44 @@ class TestValidateCavityCommand:
         for key, value in pinned.items():
             assert got[key] == pytest.approx(value, rel=1e-8, abs=0), key
 
-    # ell^2 overflows past sqrt(float max) ~ 1.34e154: rejected before any
-    # coupling squares it, by the library and by the CLI
+    # far past MAX_OFFSET, where ell^2 itself overflows (above ~1.34e154)
     @pytest.mark.parametrize("ell", ["1e200", "1.4e154", "1.3407807929942597e154"])
     def test_offset_with_overflowing_square_exit_2(self, runner, monkeypatch, ell):
+        self.check_offset_rejected(runner, monkeypatch, ell, [[], ["--d", "1.0"]])
+
+    # past MAX_OFFSET = 15, at --d 0; without the bound ell = 20 runs, and
+    # ell = 28 and 30 end in an OverflowError of exp(ell^2)
+    @pytest.mark.parametrize("ell", ["20", "28", "30"])
+    def test_offset_past_bound_exit_2(self, runner, monkeypatch, ell):
+        self.check_offset_rejected(runner, monkeypatch, ell, [["--d", "0"]])
+
+    @staticmethod
+    def check_offset_rejected(runner, monkeypatch, ell, extras):
+        # by the library and by the CLI, before any integration
         def no_run(*args):
-            raise AssertionError("integrated a geometry with an overflowing ell^2")
+            raise AssertionError("integrated a geometry with an offset past the bound")
         monkeypatch.setattr(cavity, "_dop853", no_run)
-        with pytest.raises(cavity.GeometryError, match="finite square"):
+        bound = f"at most the bound of {cavity.MAX_OFFSET:g}"
+        with pytest.raises(cavity.GeometryError, match=bound):
             cavity.solve_geometry(float(ell))
-        with pytest.raises(cavity.GeometryError, match="finite square"):
+        with pytest.raises(cavity.GeometryError, match=bound):
             cavity.CavityGeometry(ell=float(ell), d=1.0, v=0.5, delta=50.0)
-        for extra in ([], ["--d", "1.0"]):
+        for extra in extras:
             result = runner.invoke(main, ["validate-cavity", "--delta", "50",
                                           "--ell", ell] + extra)
             assert result.exit_code == 2, result.output
             err = json.loads(result.stderr.strip().splitlines()[-1])
             assert err["error"] == "GeometryError"
-            assert "finite square" in err["message"]
+            assert bound in err["message"]
+
+    # at the bound every number stays finite: pytest makes warnings errors,
+    # and a 0/0 in the commutator ratio would print null
+    @pytest.mark.parametrize("delta", ["20", "-20", "50", "-50", "100", "-100"])
+    def test_offset_at_bound_runs_clean(self, runner, delta):
+        payload = json.loads(run_ok(runner, ["validate-cavity", "--delta", delta, "--ell",
+                                             repr(cavity.MAX_OFFSET)]).stdout)
+        assert payload["agreement"]["commutator_ratio"] > 0
+        assert payload["c_matrix"][0][1] == pytest.approx(1.0, abs=1e-6)
 
     def test_one_integration_per_detuning(self, runner, tmp_path, monkeypatch):
         # counted where the integrator runs, so the endpoint-only run at

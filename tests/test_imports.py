@@ -32,7 +32,7 @@ PUBLIC_API = (
     "DensityMatrix", "DomainError",
     "EvolutionOperator", "GeometryError", "OperationalTime", "ProtocolConfig", "ProtocolStats", "PumpRound",
     "PumpTrace", "RoundFormulas", "RoundInput", "RoundResult",
-    "SaturationRow", "ShapeError", "StateValidationError", "StiffnessError",
+    "ShapeError", "StateValidationError", "StiffnessError",
     "Trajectory", "XyPurifyError",
     "ZeroProbabilityError", "asymptotic_hamiltonian", "bell_decompose",
     "bell_diagonal_map", "bootstrap_round", "cavity",
@@ -41,9 +41,9 @@ PUBLIC_API = (
     "computational_pair", "convergence_study", "errors",
     "evolve_composite", "evolve_triplet", "expected_attempts", "fidelity",
     "fixed_point", "integrate_full", "montecarlo",
-    "operational_time", "optimal_rounds", "pump", "pumping",
+    "operational_time", "pump", "pumping",
     "random_bell_diagonal", "rounds", "run_protocol",
-    "run_round", "saturation_table", "scheme_c_pump", "simulate_batch",
+    "run_round", "scheme_c_pump", "simulate_batch",
     "solve_geometry", "states", "werner", "werner_weights", "xy", "xy_agreement",
 )
 

@@ -10,10 +10,8 @@ from xypurify import (
     fidelity,
     fixed_point,
     operational_time,
-    optimal_rounds,
     pump,
     run_round,
-    saturation_table,
     scheme_c_pump,
     werner,
 )
@@ -24,11 +22,10 @@ from xypurify.pumping import EPSILON_DEFAULT
 @pytest.mark.parametrize("n", [2.5, np.nan, True, 0], ids=["float", "nan", "bool", "zero"])
 @pytest.mark.parametrize("entry", [
     lambda n: pump(0.8, n),
-    lambda n: saturation_table([0.8], n),
     lambda n: scheme_c_pump(0.8, n),
-], ids=["pump", "saturation_table", "scheme_c_pump"])
+], ids=["pump", "scheme_c_pump"])
 def test_round_count_is_an_integer(entry, n):
-    with pytest.raises(DomainError, match=r"^n(_max)? must be (an integer|>= 1), got"):
+    with pytest.raises(DomainError, match=r"^n must be (an integer|>= 1), got"):
         entry(n)
 
 
@@ -115,16 +112,21 @@ class TestPump:
 class TestPumpTraceSummary:
     @staticmethod
     def expected_trace(f, n):
-        rounds, current = [], f
-        for k in range(1, n + 1):
+        # the recurrence written out: the first n rounds, and the first
+        # round within EPSILON_DEFAULT of the fixed point (0 if F_0 is)
+        xstar = fixed_point(f)
+        rounds, fids, current = [], [f], f
+        while len(rounds) < n or xstar - fids[-1] >= EPSILON_DEFAULT:
             step = closed_form_general(f, current)
-            rounds.append(PumpRound(n=k, fidelity=step.fidelity,
-                                    delta=step.fidelity - current,
-                                    success_probability=step.success_probability))
+            if len(rounds) < n:
+                rounds.append(PumpRound(n=len(rounds) + 1, fidelity=step.fidelity,
+                                        delta=step.fidelity - current,
+                                        success_probability=step.success_probability))
             current = step.fidelity
-        return PumpTrace(f=f, rounds=tuple(rounds), f_hat=current - f,
-                         fixed_point=fixed_point(f),
-                         n_optimal=optimal_rounds(f))
+            fids.append(current)
+        n_optimal = next(k for k, x in enumerate(fids) if xstar - x < EPSILON_DEFAULT)
+        return PumpTrace(f=f, rounds=tuple(rounds), f_hat=rounds[-1].fidelity - f,
+                         fixed_point=xstar, n_optimal=n_optimal)
 
     def test_trace_unchanged_on_grid(self):
         for f in np.linspace(0.51, 1.0, 25):
@@ -191,6 +193,8 @@ class TestFixedPoint:
 
 
 class TestOptimalRounds:
+    # n_optimal of a trace: the rounds the scalar recurrence needs to come
+    # within EPSILON_DEFAULT of the fixed point
     def test_saturation_after_four_rounds(self):
         # F_4 is the first fidelity within 0.005 of the fixed point
         gaps = [fixed_point(0.75) - x for x in pump(0.75, 4).fidelities]
@@ -198,52 +202,43 @@ class TestOptimalRounds:
 
     def test_default_epsilon(self):
         assert EPSILON_DEFAULT == 1e-3
-        assert optimal_rounds(0.75) == 6
+        assert pump(0.75, 1).n_optimal == 6
 
     def test_zero_rounds_when_close_enough(self):
         # f = 0.999 starts 7.5e-4 below its fixed point, f = 0.998 1.5e-3
         assert 0.0 < fixed_point(0.999) - 0.999 < EPSILON_DEFAULT
-        assert optimal_rounds(0.999) == 0
+        assert pump(0.999, 1).n_optimal == 0
         assert fixed_point(0.998) - 0.998 > EPSILON_DEFAULT
-        assert optimal_rounds(0.998) == 1
+        assert pump(0.998, 1).n_optimal == 1
 
     def test_perfect_needs_one_round(self):
-        assert optimal_rounds(1.0) <= 1
+        assert pump(1.0, 1).n_optimal <= 1
 
 
 class TestSaturationTable:
+    # the rows of ``xypurify fig6``: every round of pump(f, n_max), with
+    # F_hat = F_n - f and F_bar the round's delta
     def test_first_round_matches_closed_form(self):
-        rows = saturation_table([0.6, 0.75, 0.9], n_max=4)
-        for row in rows:
-            if row.n == 1:
-                expect = closed_form_general(row.f, row.f).fidelity
-                assert row.fidelity == pytest.approx(expect, abs=1e-14)
-                assert row.f_hat == pytest.approx(expect - row.f, abs=1e-14)
+        for f in (0.6, 0.75, 0.9):
+            first = pump(f, 4).rounds[0]
+            expect = closed_form_general(f, f).fidelity
+            assert first.fidelity == pytest.approx(expect, abs=1e-14)
+            assert first.delta == pytest.approx(expect - f, abs=1e-14)
 
     def test_four_rounds_dominate_one(self):
-        grid = np.linspace(0.55, 0.95, 17)
-        rows = saturation_table(grid, n_max=4)
-        by_n = {}
-        for row in rows:
-            by_n.setdefault(row.n, {})[row.f] = row.f_hat
-        for f in grid:
-            assert by_n[4][f] >= by_n[1][f]
+        for f in np.linspace(0.55, 0.95, 17):
+            rounds = pump(f, 4).rounds
+            assert rounds[3].fidelity - f >= rounds[0].fidelity - f
 
     def test_gain_column_nonnegative(self):
-        rows = saturation_table(np.linspace(0.51, 0.99, 25), n_max=8)
-        assert all(row.f_bar >= 0.0 for row in rows)
+        for f in np.linspace(0.51, 0.99, 25):
+            assert all(r.delta >= 0.0 for r in pump(f, 8).rounds)
 
     def test_f_bar_is_delta_of_f_hat(self):
-        rows = saturation_table([0.8], n_max=6)
-        hats = {row.n: row.f_hat for row in rows}
-        for row in rows:
-            prev = hats.get(row.n - 1, 0.0)
-            assert row.f_bar == pytest.approx(row.f_hat - prev, abs=1e-14)
-
-    def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            saturation_table([0.5], n_max=4)
-        with pytest.raises(DomainError):
-            saturation_table([], n_max=4)
-        with pytest.raises(DomainError):
-            saturation_table([0.8], n_max=0)
+        # the f_hat of a trace of n rounds steps by round n's delta, on
+        # both pump modes and the baseline's Bell-weight map
+        for trace in (lambda n: pump(0.8, n), lambda n: pump(0.8, n, mode="simulation"),
+                      lambda n: scheme_c_pump(0.8, n)):
+            hats = [0.0] + [trace(n).f_hat for n in range(1, 7)]
+            for r in trace(6).rounds:
+                assert r.delta == pytest.approx(hats[r.n] - hats[r.n - 1], abs=1e-14)
