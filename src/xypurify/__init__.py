@@ -51,9 +51,8 @@ from .rounds import (
     RoundResult,
     bell_diagonal_map,
     bootstrap_round,
-    closed_form_fidelity,
+    closed_form_at,
     closed_form_general,
-    closed_form_success,
     operational_time,
     run_round,
 )

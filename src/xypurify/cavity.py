@@ -13,7 +13,11 @@ The model works in units hbar = g0 = w = 1: the peak coupling g0 and
 the waist w set the scales of rate and length, so times are in 1/g0,
 lengths in w and velocities in w*g0.  A geometry is then fully
 specified by the dimensionless ratios Delta/g0, ell/w, d/w and
-v/(w*g0), which are the four fields of :class:`CavityGeometry`.
+v/(w*g0), which are the four fields of :class:`CavityGeometry`.  Each is
+bounded when a geometry is built, before any run, so that every number
+the model computes is a normal float (the class docstring says why), and
+so is |Delta| times the transit window, which sets the exact run's step
+count.
 
 Every integral runs over :meth:`CavityGeometry.window`, which clips at
 most erfc(DEFAULT_SPAN) ~ 1.5e-12 of any transit integral (proof in
@@ -40,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -53,8 +56,12 @@ ADIABATIC_RATIO_MIN = 20.0
 DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN waists
 INTEGRATOR_RTOL = 1e-10
 INTEGRATOR_ATOL = 1e-12
-MAX_TRANSIT_PHASE = 10**6   # bound on |delta| (t_b - t_a), checked before any run
-MAX_OFFSET = 15.0           # bound on ell, checked before any run (_check_offset)
+# bounds checked before any run (CavityGeometry, _check_offset)
+MAX_TRANSIT_PHASE = 10**6   # on |delta| (t_b - t_a)
+MAX_OFFSET = 15.0           # on ell
+MAX_SPACING = 25.0          # on d
+MAX_DETUNING = 1e50         # on |delta| and on 1 / |delta|
+MAX_VELOCITY = 1e50         # on v
 
 # Dormand & Prince's 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
 # Differential Equations I, Sec. II.10), digits as in Hairer's dop853.f: the
@@ -224,6 +231,30 @@ class CavityGeometry:
     d: atom 2 starts ``DEFAULT_SPAN`` waists before the waist and atom 1 a
     further d behind, so the whole Gaussian transit lies inside the
     window.
+
+    Every field is bounded before any run, so that every number the model
+    computes is a normal float, at least 2.2e-308 in magnitude and finite:
+
+    * ell <= MAX_OFFSET = 15, as :func:`_check_offset` explains.
+    * d <= MAX_SPACING = 25.  The pair coupling g1 g2 peaks at
+      exp(-d^2 / 2), at least exp(-312.5) ~ 2e-136; past d ~ 38.6 the
+      closed-form pair coefficient exp((2 ell^2 - d^2) / 2) at ell = 1
+      underflows to 0, and :func:`asymptotic_hamiltonian` divides by it.
+      :func:`solve_geometry`'s largest spacing, at ell = MAX_OFFSET, is
+      ~21.2.
+    * 1 / MAX_DETUNING <= |delta| <= MAX_DETUNING = 1e50.  The eliminated
+      generator g g^T / delta has an entry of at least exp(-ell^2) / |delta|
+      while a conveyed atom is near the waist, so the squared norm that
+      the commutator check of :func:`xy_agreement` divides by stays above
+      ~1e-296.  At ell = MAX_OFFSET it turns subnormal past |delta| ~ 1e56,
+      where the check loses digits (0.68 at 1e63 and 1.0 at 1e64, for
+      0.6795), and underflows to 0 past ~1e65, where it reads 0/0.  From
+      below, 1 / |delta| and its square stay at most 1e100.
+    * v <= MAX_VELOCITY = 1e50, and the phase bound gives v >= 1e-5 |delta|,
+      as (t_b - t_a) v = 2 DEFAULT_SPAN + d >= 10.  So |delta| v lies in
+      [1e-105, 1e100], and the couplings integrated over one transit,
+      sqrt(pi) / (|delta| v) times exp(-ell^2) or exp(-d^2 / 2), lie
+      between ~3e-236 and ~2e105.
     """
 
     ell: float
@@ -233,16 +264,25 @@ class CavityGeometry:
     z0: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        # bounded by the float range, not by inf, so that ints past it
-        # fail here and not in float arithmetic later
-        big = sys.float_info.max
-        if not 0 < self.v <= big:
-            raise GeometryError("v must be positive and finite")
-        if self.delta == 0 or not abs(self.delta) <= big:
-            raise GeometryError("detuning must be finite and nonzero")
-        if not 0 <= self.d <= big:
-            raise GeometryError("distance d must be finite and nonnegative")
+        # finite bounds, so that a nan and an int past the float range fail
+        # here and not in float arithmetic later
+        if not 1.0 / MAX_DETUNING <= abs(self.delta) <= MAX_DETUNING:
+            raise GeometryError(f"|delta| must lie within the bounds of "
+                                f"{1.0 / MAX_DETUNING:g} and {MAX_DETUNING:g}, "
+                                f"got {self.delta}")
+        if not 0 < self.v <= MAX_VELOCITY:
+            raise GeometryError(f"v must be positive and at most the bound of "
+                                f"{MAX_VELOCITY:g}, got {self.v}")
+        if not 0 <= self.d <= MAX_SPACING:
+            raise GeometryError(
+                f"distance d must be finite and nonnegative, at most the bound of "
+                f"{MAX_SPACING:g} where the pair coupling exp(-d^2/2) stays a "
+                f"normal float, got {self.d}")
         _check_offset(self.ell)
+        # Python floats from here on, which overflow without numpy's
+        # RuntimeWarning; float() is exact on a numpy float
+        for name in ("ell", "d", "v", "delta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         # a field, not a property: the integrators' right-hand sides read it
         # on every step
         start = -DEFAULT_SPAN - self.d
@@ -342,7 +382,6 @@ class Trajectory:
     times: np.ndarray = field(repr=False)
     amplitudes: np.ndarray = field(repr=False)  # shape (len(times), n_amp)
     max_photon_population: float
-    norm_drift: float
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -479,7 +518,6 @@ def integrate_full(geom: CavityGeometry, initial: np.ndarray) -> Trajectory:
         times=times,
         amplitudes=c,
         max_photon_population=_row_max(c, lambda rows: np.abs(rows[:, 0]) ** 2),
-        norm_drift=_row_max(c, lambda rows: np.abs(np.linalg.norm(rows, axis=1) - 1.0)),
     )
 
 

@@ -125,6 +125,7 @@ def cmd_round(f: float, fprime: float, jt0: float | None, at_t: bool,
     stationary = werner(fprime)
     result = rounds.run_round(rounds.RoundInput(f=f, stationary_state=stationary,
                                                 t0=jt0))
+    at = rounds.closed_form_at(jt0, f)
     payload = {
         "f": f,
         "fprime": fprime,
@@ -132,8 +133,8 @@ def cmd_round(f: float, fprime: float, jt0: float | None, at_t: bool,
         "fidelity": result.fidelity,
         "success_probability": result.success_probability,
         "werner_deviation": result.werner_deviation,
-        "closed_form_fidelity": rounds.closed_form_fidelity(jt0, f),
-        "closed_form_success": rounds.closed_form_success(jt0, f),
+        "closed_form_fidelity": at.fidelity,
+        "closed_form_success": at.success_probability,
     }
     if at_t:
         general = rounds.closed_form_general(f, fprime)
@@ -175,7 +176,7 @@ def cmd_fig5(panel: str, f_fixed: float, f_min: float, f_max: float,
     """Single-round fidelity sweeps: vs time (a), vs baseline (b), vs f,f' (c)."""
     if panel == "a":
         grid = _float_grid(0.0, jt_max, jt_steps, jt_steps)
-        table = [(jt, rounds.closed_form_fidelity(jt, f_fixed)) for jt in grid]
+        table = [(jt, rounds.closed_form_at(jt, f_fixed).fidelity) for jt in grid]
         _emit_csv(["jt0", "fidelity"], table, output)
     elif panel == "b":
         grid = _float_grid(f_min, f_max, f_steps, f_steps)

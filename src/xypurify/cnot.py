@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .pumping import PumpTrace, _bell_rounds, _check_count, _trace
+from .pumping import MAX_ROUNDS, PumpTrace, _bell_rounds, _check_count, _trace
 from .rounds import closed_form_general
 
 
@@ -52,7 +52,7 @@ def scheme_c_pump(f: float, n: int) -> PumpTrace:
     """
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs f in (0.5, 1], got {f}")
-    _check_count("n", n)
+    _check_count("n", n, maximum=MAX_ROUNDS)
     return _trace(f, n, _bell_rounds(_dejmps_map(f), f), _scheme_c_fixed_point(f))
 
 

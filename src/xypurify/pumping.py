@@ -22,8 +22,10 @@ scalar recurrence and ``_bell_rounds`` any 4x4 Bell-weight map (the
 exact XY map above or the DEJMPS map of :mod:`xypurify.cnot`), from the
 Werner weights of :func:`xypurify.states.werner_weights`.  A pump
 sequence has one record, :class:`PumpTrace`, built by ``_trace`` from
-either iterator: the first n rounds and the optimal round count
-``n_optimal``, the one optimal-round search.  :func:`pump` and
+either iterator: the first n rounds, the fixed point and the optimal
+round count ``n_optimal``, the one optimal-round search.  It holds
+nothing a caller can read off the rounds: F_n - f is
+``rounds[n - 1].fidelity - f``.  :func:`pump` and
 :func:`xypurify.cnot.scheme_c_pump` build their traces through it;
 :mod:`xypurify.montecarlo` iterates the recurrence directly.
 Fixed points are not searched for: the recurrence's is the root of a
@@ -44,7 +46,7 @@ from .rounds import bell_diagonal_map, closed_form_general
 from .states import werner_weights
 
 EPSILON_DEFAULT = 1e-3         # fixed-point proximity target of n_optimal
-MAX_ROUNDS = 10_000            # bound on a search along a pump trajectory
+MAX_ROUNDS = 10_000            # bound on a pump's length and on a search along one
 
 PumpMode = Literal["closed_form", "simulation"]
 
@@ -65,21 +67,22 @@ class PumpTrace:
 
     f: float
     rounds: tuple[PumpRound, ...]
-    f_hat: float          # F_n - f after the last round
     fixed_point: float
     n_optimal: int
 
-    @property
-    def fidelities(self) -> list[float]:
-        return [self.f] + [r.fidelity for r in self.rounds]
 
+def _check_count(name: str, value, error: type[ValueError] = DomainError,
+                 maximum: int | None = None) -> None:
+    """A count is a Python or numpy integer >= 1, and <= maximum if one is given.
 
-def _check_count(name: str, value, error: type[ValueError] = DomainError) -> None:
-    """A count is a Python or numpy integer >= 1; floats and bools are not."""
+    Floats and bools are not counts.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise error(f"{name} must be >= 1, got {value}")
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be at most {maximum}, got {value}")
 
 
 def fixed_point(f: float) -> float:
@@ -148,12 +151,11 @@ def _trace(f: float, n: int, trajectory: Iterator[tuple[float, float]],
                 break
         else:
             raise AnalysisError(f"pump map failed to approach its fixed point for f={f}")
-    return PumpTrace(f=f, rounds=tuple(rounds), f_hat=current - f,
-                     fixed_point=xstar, n_optimal=n_optimal)
+    return PumpTrace(f=f, rounds=tuple(rounds), fixed_point=xstar, n_optimal=n_optimal)
 
 
 def pump(f: float, n: int, mode: PumpMode = "closed_form") -> PumpTrace:
-    """Run n successful pumping rounds with fresh fidelity-f pairs.
+    """Run n <= MAX_ROUNDS successful pumping rounds with fresh fidelity-f pairs.
 
     ``n_optimal`` of the trace is the number of rounds the scalar
     recurrence needs to come within EPSILON_DEFAULT of
@@ -161,7 +163,7 @@ def pump(f: float, n: int, mode: PumpMode = "closed_form") -> PumpTrace:
     """
     if not 0.5 < f <= 1.0:
         raise DomainError(f"pumping needs fresh-pair fidelity in (0.5, 1], got {f}")
-    _check_count("n", n)
+    _check_count("n", n, maximum=MAX_ROUNDS)
     if mode == "closed_form":
         return _trace(f, n, _werner_rounds(f), fixed_point(f))
     if mode == "simulation":

@@ -19,6 +19,10 @@ where the ring propagator is the identity (:mod:`xypurify.xy`);
 :mod:`xypurify.montecarlo` charges that dwell time, and the tests pin
 the restoration on random six-qubit states.
 
+Both closed forms return a :class:`RoundFormulas` record:
+:func:`closed_form_at` at any time t0 for pairs of one fidelity f, and
+:func:`closed_form_general` at the operational time for fidelities f, f'.
+
 Outcome convention
 ------------------
 The two outcomes 0101 and 1010 (slot order 1,2,4,5) both herald
@@ -37,7 +41,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -71,8 +74,11 @@ def operational_time(j: float, n: int = 0) -> OperationalTime:
         raise DomainError(f"coupling J must be finite and nonzero, got {j}")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"time index n must be an integer >= 0, got {n!r}")
-    # n + 0.5 converts n to float, which overflows past the float range
-    t = math.pi * (n + 0.5) / (3.0 * j) if n <= sys.float_info.max else math.inf
+    # in Python floats, which overflow to inf without numpy's RuntimeWarning
+    # for numpy arguments; n + 0.5 converts n to float, which overflows past
+    # the float range
+    t = (math.pi * (int(n) + 0.5) / (3.0 * float(j)) if n <= sys.float_info.max
+         else math.inf)
     if not math.isfinite(t):
         raise DomainError(f"operational time T = pi/3 (n + 1/2) / J is not finite: "
                           f"J = {j} is too small or n too large")
@@ -92,17 +98,17 @@ class RoundInput:
             raise DomainError(f"conveyed-pair fidelity must lie in [0,1], got {self.f}")
         if self.stationary_state.dim != 4:
             raise ShapeError("stationary state must be a two-qubit density matrix")
-        if not np.isfinite(self.t0):
+        # the float-range bound, unlike np.isfinite, also takes ints past it
+        if not abs(self.t0) <= sys.float_info.max:
             raise DomainError(f"evolution time must be finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
 class RoundResult:
-    """Post-selected stationary-pair state and outcome bookkeeping."""
+    """Post-selected stationary-pair state and its single-outcome probability."""
 
     post_state: DensityMatrix
     success_probability: float
-    outcome_probabilities: Mapping[str, float]
     werner_deviation: float
 
     @property
@@ -114,9 +120,11 @@ def run_round(inp: RoundInput) -> RoundResult:
     """Execute one purification round by direct six-qubit simulation.
 
     The stationary pair is post-selected on ``PREDEFINED_OUTCOME``, 0101
-    on slots (1, 2, 4, 5); ``outcome_probabilities`` reports all sixteen
-    outcomes.  Only the returned stationary pair is a validated
-    :class:`DensityMatrix`; the six-qubit state is a plain array.
+    on slots (1, 2, 4, 5): the block of the evolved state with those
+    bits in rows and columns is the unnormalised pair of slots (3, 6),
+    and its trace the success probability.  Only the returned stationary
+    pair is a validated :class:`DensityMatrix`; the six-qubit state is a
+    plain array.
     """
     # rho_f(1,4) x rho_f(2,5) x rho_stat(3,6), each (row, row, col, col),
     # into rows 1..6 then columns 1..6
@@ -125,50 +133,63 @@ def run_round(inp: RoundInput) -> RoundResult:
     rho6 = np.einsum("adAD,beBE,cfCF->abcdefABCDEF", pair, pair, stat)
     u = evolve_composite(inp.t0).matrix
     evolved = u @ rho6.reshape(64, 64) @ u.conj().T
-    # diagonal as (1,2,4,5 | 3,6): row k sums the block of outcome k
-    diag = np.diagonal(evolved).reshape(2, 2, 2, 2, 2, 2)
-    probs = diag.transpose(0, 1, 3, 4, 2, 5).reshape(16, 4).sum(axis=1).real
-    outcome_probs = {format(k, "04b"): float(p) for k, p in enumerate(probs)}
-    prob = outcome_probs[PREDEFINED_OUTCOME]
+    b1, b2, b4, b5 = (int(b) for b in PREDEFINED_OUTCOME)
+    block = evolved.reshape((2,) * 12)[b1, b2, :, b4, b5, :,
+                                       b1, b2, :, b4, b5, :].reshape(4, 4)
+    prob = float(np.trace(block).real)
     if not prob >= ZERO_PROBABILITY_THRESHOLD:
         raise ZeroProbabilityError(
             f"outcome {PREDEFINED_OUTCOME!r} on slots {MEASURED_SLOTS} "
             f"has probability {prob:.3e}")
-    b1, b2, b4, b5 = (int(b) for b in PREDEFINED_OUTCOME)
-    block = evolved.reshape((2,) * 12)[b1, b2, :, b4, b5, :,
-                                       b1, b2, :, b4, b5, :].reshape(4, 4)
     post = DensityMatrix(block / prob)
     return RoundResult(
         post_state=post,
         success_probability=prob,
-        outcome_probabilities=outcome_probs,
         werner_deviation=bell_decompose(post).off_diagonal_norm,
     )
 
 
 def _cosines(t0: float) -> tuple[float, float]:
-    """cos(6 t0) and cos(12 t0), for a finite phase 12 t0 only."""
-    if not math.isfinite(12.0 * t0):
+    """cos(6 t0) and cos(12 t0), for a finite phase 12 t0 only.
+
+    In Python floats, after the float-range bound, so that an int past it
+    or a numpy float overflows without an OverflowError or RuntimeWarning.
+    """
+    if not (abs(t0) <= sys.float_info.max and math.isfinite(12.0 * float(t0))):
         raise DomainError(f"evolution time J t0 must be finite, got t0={t0}")
+    t0 = float(t0)
     return math.cos(6.0 * t0), math.cos(12.0 * t0)
 
 
-def closed_form_fidelity(t0: float, f: float) -> float:
-    """Analytic post-selected fidelity for Werner inputs with f' = f.
+@dataclass(frozen=True)
+class RoundFormulas:
+    """Closed forms of one round: output fidelity and single-outcome success."""
 
-    Rational-trigonometric in cos(6 J t0) and cos(12 J t0); equals f at
-    t0 = 0 and peaks at the operational time.
+    fidelity: float
+    success_probability: float
 
-    With c = cos(6 J t0) and cos(12 J t0) = 2c^2 - 1 the denominator is
-    -8 (4f - 1)(2f + 1) c^2 + 16 (4f - 1)(f - 1) c + 42 f - 51, which lies
-    in [-81, -9] on f in [0,1], c in [-1,1] and so needs no singularity
-    check.  For f >= 1/4, maximising over |c| bounds it by
+
+def closed_form_at(t0: float, f: float) -> RoundFormulas:
+    """Round map at time t0 for Werner conveyed and stored pairs, f' = f.
+
+    Rational-trigonometric in cos(6 J t0) and cos(12 J t0); the fidelity
+    equals f at t0 = 0 and peaks at the operational time, where both
+    values are those of :func:`closed_form_general` at (f, f).
+
+    With c = cos(6 J t0) and cos(12 J t0) = 2c^2 - 1 the fidelity
+    denominator is -8 (4f - 1)(2f + 1) c^2 + 16 (4f - 1)(f - 1) c + 42 f
+    - 51, which lies in [-81, -9] on f in [0,1], c in [-1,1] and so needs
+    no singularity check.  For f >= 1/4, maximising over |c| bounds it by
     8 (4f - 1)(1 - f)^2 / (2f + 1) - 42 (1 - f) - 9 <= -9 - 26 (1 - f),
     as 4f - 1 < 2 (2f + 1) and (1 - f)^2 <= 1 - f; -9 is reached only at
     f = 1, c = 0.  For f < 1/4 the c terms add at most 12 + 16 to
     42 f - 51 < -40.5.  From below, f >= 1/4 gives -24 (4f - 1) + 42 f
     - 51 >= -81 (at f = 1, c = +-1) and f < 1/4 gives -16 - 51.
-    Non-finite times raise :class:`DomainError`.
+
+    The success probability is -(1 + 2f) / 972 times that denominator,
+    so it is at least 9 (1 + 2f) / 972.  It is evaluated as its own
+    polynomial, not from the denominator: the two orders of evaluation
+    differ in the last bit.  Non-finite times raise :class:`DomainError`.
     """
     if not 0.0 <= f <= 1.0:
         raise DomainError(f"fidelity must lie in [0,1], got {f}")
@@ -179,31 +200,12 @@ def closed_form_fidelity(t0: float, f: float) -> float:
     den = (34.0 * f - 32.0 * f * f - 47.0
            + 16.0 * (1.0 - 5.0 * f + 4.0 * f * f) * c6
            - 4.0 * (2.0 * f + 8.0 * f * f - 1.0) * c12)
-    return num / den
-
-
-def closed_form_success(t0: float, f: float) -> float:
-    """Analytic single-outcome success probability for f' = f.
-
-    It is -(1 + 2f) / 972 times the denominator of
-    :func:`closed_form_fidelity`, so it is at least 9 (1 + 2f) / 972.
-    """
-    if not 0.0 <= f <= 1.0:
-        raise DomainError(f"fidelity must lie in [0,1], got {f}")
-    c6, c12 = _cosines(t0)
-    return (1.0 + 2.0 * f) * (
+    success = (1.0 + 2.0 * f) * (
         47.0 - 34.0 * f + 32.0 * f * f
         - 16.0 * (1.0 - 5.0 * f + 4.0 * f * f) * c6
         + 4.0 * (2.0 * f + 8.0 * f * f - 1.0) * c12
     ) / 972.0
-
-
-@dataclass(frozen=True)
-class RoundFormulas:
-    """Closed forms at the operational time: output fidelity and success."""
-
-    fidelity: float
-    success_probability: float
+    return RoundFormulas(fidelity=num / den, success_probability=success)
 
 
 def closed_form_general(f: float, f_prime: float) -> RoundFormulas:

@@ -18,6 +18,7 @@ evolved for J t, a negative J included.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,10 +80,13 @@ def evolve_triplet(t: float) -> EvolutionOperator:
 
     Raises :class:`DomainError` unless the largest phase |w| t is finite,
     which rejects a non-finite t and a finite one whose phase overflows.
-    Python floats overflow to inf without numpy's RuntimeWarning.
+    The float-range bound comes first, so that ``float`` takes any int;
+    the phase is then a Python float, which overflows to inf without
+    numpy's RuntimeWarning for a numpy float t.
     """
-    if not math.isfinite(t * _XY_PHASE_MAX):
+    if not (abs(t) <= sys.float_info.max and math.isfinite(float(t) * _XY_PHASE_MAX)):
         raise DomainError(f"evolution phase must be finite, got t={t}")
+    t = float(t)
     u = (_XY_V * np.exp(-1j * _XY_W * t)) @ _XY_V_H
     return EvolutionOperator(u)
 

@@ -18,10 +18,9 @@ from xypurify import (
     RoundInput,
     bell_decompose,
     bootstrap_round,
+    closed_form_at,
     closed_form_cnot,
-    closed_form_fidelity,
     closed_form_general,
-    closed_form_success,
     convergence_study,
     evolve_composite,
     expected_attempts,
@@ -92,9 +91,9 @@ def test_criterion_02_oracle_equivalence():
         for f in f_grid:
             for jt in jt_grid:
                 res = werner_round(f, f, jt)
-                assert abs(res.fidelity - closed_form_fidelity(jt, f)) < 1e-9
-                assert abs(res.success_probability
-                           - closed_form_success(jt, f)) < 1e-9
+                expect = closed_form_at(jt, f)
+                assert abs(res.fidelity - expect.fidelity) < 1e-9
+                assert abs(res.success_probability - expect.success_probability) < 1e-9
         pair_grid = np.linspace(0.5, 1.0, 11)
         for f in pair_grid:
             for fp in pair_grid:

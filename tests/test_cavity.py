@@ -95,6 +95,32 @@ class TestGeometry:
         with pytest.raises(GeometryError, match="above the bound"):
             replace(geom, v=math.nextafter(geom.v, 0.0))
 
+    def test_field_bounds(self):
+        # each bound is inclusive, and the first float past it is rejected
+        # before any run
+        fields = dict(ell=1.0, d=1.0, v=0.5, delta=50.0)
+        at = [dict(d=cavity.MAX_SPACING),
+              dict(delta=cavity.MAX_DETUNING, v=cavity.MAX_VELOCITY),
+              dict(delta=-cavity.MAX_DETUNING, v=cavity.MAX_VELOCITY),
+              dict(delta=1.0 / cavity.MAX_DETUNING, v=cavity.MAX_VELOCITY),
+              dict(delta=50.0, v=cavity.MAX_VELOCITY)]
+        past = [dict(d=math.nextafter(cavity.MAX_SPACING, math.inf)),
+                dict(delta=math.nextafter(cavity.MAX_DETUNING, math.inf),
+                     v=cavity.MAX_VELOCITY),
+                dict(delta=-math.nextafter(1.0 / cavity.MAX_DETUNING, 0.0)),
+                dict(v=math.nextafter(cavity.MAX_VELOCITY, math.inf))]
+        for change in at:
+            CavityGeometry(**{**fields, **change})
+        for change in past:
+            with pytest.raises(GeometryError, match="bound"):
+                CavityGeometry(**{**fields, **change})
+
+    def test_every_solved_spacing_within_bound(self):
+        for ell in np.linspace(math.sqrt(math.log(2.0) / 2.0), cavity.MAX_OFFSET, 200):
+            geom = default_geom(ell=float(ell))
+            assert geom.d <= cavity.MAX_SPACING
+            assert np.isfinite(asymptotic_hamiltonian(geom).max_rel_error)
+
     def test_settable_fields_are_the_four_ratios(self):
         # g0 = w = 1: Delta/g0, ell/w, d/w and v/(w g0) fix the model
         settable = tuple(f.name for f in dataclasses.fields(CavityGeometry) if f.init)
@@ -228,7 +254,7 @@ class TestFullIntegration:
 
     def test_norm_drift_small(self):
         traj = integrate_full(default_geom(), C4)
-        assert traj.norm_drift < 1e-9
+        assert np.abs(np.linalg.norm(traj.amplitudes, axis=1) - 1.0).max() < 1e-9
 
     def test_photon_population_bounded(self):
         geom = default_geom(delta=50.0)
@@ -457,7 +483,7 @@ class TestAgreement:
                                   delta=rng.choice([-1.0, 1.0]) * rng.uniform(25.0, 80.0))
             stand_in = cavity.Trajectory(times=np.array(geom.window()),
                                          amplitudes=np.array([C4, C4]),
-                                         max_photon_population=0.0, norm_drift=0.0)
+                                         max_photon_population=0.0)
             rep = xy_agreement(geom, full=stand_in)
             assert rep.commutator_ratio == reference_commutator_ratio(geom)
 

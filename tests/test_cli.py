@@ -91,6 +91,17 @@ class TestFig5Command:
         assert best[1] == pytest.approx(0.8277, abs=5e-4)
         assert best[0] == pytest.approx(math.pi / 6, abs=0.02)
 
+    def test_panel_a_overflowing_phase_exit_2(self, runner):
+        # the grid's numpy floats take the Python-float path of the closed
+        # form: a DomainError, not a RuntimeWarning (an error under pytest,
+        # exit code 1) on the way
+        result = runner.invoke(main, ["fig5", "--panel", "a", "--jt-max", "1e308",
+                                      "--jt-steps", "3"])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+        assert "must be finite" in err["message"]
+
     def test_panel_b_solid_above_dashed(self, runner, tmp_path):
         out = tmp_path / "b.csv"
         run_ok(runner, ["fig5", "--panel", "b", "--f-steps", "9",
@@ -316,6 +327,36 @@ class TestValidateCavityCommand:
             err = json.loads(result.stderr.strip().splitlines()[-1])
             assert err["error"] == "GeometryError"
             assert bound in err["message"]
+
+    # each ran to a RuntimeWarning (exit 1 under pytest and under
+    # PYTHONWARNINGS=error) before d and |delta| were bounded: a division by
+    # the underflowed closed-form pair coupling, or a commutator ratio of 0/0
+    @pytest.mark.parametrize("args, bound", [
+        (["--delta", "50", "--ell", "1", "--d", "40"], "distance d"),
+        (["--delta", "1e112", "--ell", "15", "--v", "1e111"], "|delta|"),
+        (["--delta", "1e200", "--ell", "1", "--v", "1e197"], "|delta|"),
+    ], ids=["d40", "delta1e112", "delta1e200"])
+    def test_underflowing_geometry_exit_2(self, runner, monkeypatch, args, bound):
+        def no_run(*args):
+            raise AssertionError("integrated a geometry past a bound")
+        monkeypatch.setattr(cavity, "_dop853", no_run)
+        result = runner.invoke(main, ["validate-cavity", *args])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "GeometryError"
+        assert err["message"].startswith(bound)
+
+    # at the bounds every number stays finite; the 2 delta run's geometry
+    # is inside them too
+    @pytest.mark.parametrize("args", [
+        ["--delta", "5e49", "--ell", "15", "--v", "5e45"],
+        ["--delta", "-50", "--ell", "15", "--d", "25"],
+        ["--delta", "-5e49", "--ell", "0", "--d", "25", "--v", "1e50"],
+    ], ids=["delta", "spacing", "velocity"])
+    def test_geometry_at_bounds_runs_clean(self, runner, args):
+        payload = json.loads(run_ok(runner, ["validate-cavity", *args]).stdout)
+        assert payload["c_matrix_max_rel_error"] < 1e-6
+        assert payload["agreement"]["commutator_ratio"] > 0
 
     # at the bound every number stays finite: pytest makes warnings errors,
     # and a 0/0 in the commutator ratio would print null

@@ -109,7 +109,7 @@ class TestSchemeCPump:
 
     def test_monotone_toward_fixed_point(self):
         trace = scheme_c_pump(0.7, 10)
-        fs = trace.fidelities
+        fs = [trace.f] + [r.fidelity for r in trace.rounds]
         assert all(b > a for a, b in zip(fs, fs[1:]))
         assert fs[-1] <= trace.fixed_point + 1e-12
 

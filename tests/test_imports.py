@@ -36,8 +36,8 @@ PUBLIC_API = (
     "Trajectory", "XyPurifyError",
     "ZeroProbabilityError", "asymptotic_hamiltonian", "bell_decompose",
     "bell_diagonal_map", "bootstrap_round", "cavity",
-    "closed_form_cnot", "closed_form_fidelity", "closed_form_general",
-    "closed_form_success", "cnot", "comparison_table",
+    "closed_form_at", "closed_form_cnot", "closed_form_general",
+    "cnot", "comparison_table",
     "computational_pair", "convergence_study", "errors",
     "evolve_composite", "evolve_triplet", "expected_attempts", "fidelity",
     "fixed_point", "integrate_full", "montecarlo",

@@ -87,7 +87,7 @@ class TestConfigValidation:
     def test_reachable_target_accepted(self):
         ProtocolConfig(f=0.75, target_fidelity=0.86, seed=1)
         # seven rounds with half the readouts inconclusive: about 100 attempts
-        ProtocolConfig(f=0.75, target_fidelity=pump(0.75, 7).fidelities[-1],
+        ProtocolConfig(f=0.75, target_fidelity=pump(0.75, 7).rounds[-1].fidelity,
                        p_inconclusive=0.5, seed=1)
 
     def test_probability_range(self):
@@ -148,7 +148,7 @@ class TestSingleRun:
 
     def test_history_follows_pump_map(self):
         stats = run_protocol(config(target_rounds=5))
-        expect = pump(0.75, 5).fidelities
+        expect = [0.75] + [r.fidelity for r in pump(0.75, 5).rounds]
         np.testing.assert_allclose(stats.fidelity_history, expect, atol=1e-12)
 
     def test_resource_accounting(self):

@@ -15,7 +15,12 @@ from xypurify import (
     scheme_c_pump,
     werner,
 )
-from xypurify.pumping import EPSILON_DEFAULT
+from xypurify.pumping import EPSILON_DEFAULT, MAX_ROUNDS
+
+
+def fidelities(trace):
+    """F_0 = f, then the fidelity after each round of a trace."""
+    return [trace.f] + [r.fidelity for r in trace.rounds]
 
 
 # a round count is an integer >= 1, checked before any round runs
@@ -26,6 +31,18 @@ from xypurify.pumping import EPSILON_DEFAULT
 ], ids=["pump", "scheme_c_pump"])
 def test_round_count_is_an_integer(entry, n):
     with pytest.raises(DomainError, match=r"^n must be (an integer|>= 1), got"):
+        entry(n)
+
+
+# at most MAX_ROUNDS, the bound of the optimal-round search; an int past
+# the float range raised islice's bare ValueError
+@pytest.mark.parametrize("n", [MAX_ROUNDS + 1, 2**1024], ids=["above", "past-floats"])
+@pytest.mark.parametrize("entry", [
+    lambda n: pump(0.8, n),
+    lambda n: scheme_c_pump(0.8, n),
+], ids=["pump", "scheme_c_pump"])
+def test_round_count_is_bounded(entry, n):
+    with pytest.raises(DomainError, match=f"^n must be at most {MAX_ROUNDS}, got"):
         entry(n)
 
 
@@ -49,17 +66,16 @@ class TestPump:
 
     def test_deltas_are_consistent(self):
         trace = pump(0.8, 8)
-        fs = trace.fidelities
+        fs = fidelities(trace)
         for r, (prev, cur) in zip(trace.rounds, zip(fs, fs[1:])):
             assert r.delta == pytest.approx(cur - prev, abs=1e-14)
-        assert trace.f_hat == pytest.approx(fs[-1] - 0.8, abs=1e-14)
 
     def test_monotone_and_bounded_by_fixed_point(self):
         # strictly increasing until the gap to the fixed point is below
         # numeric resolution, never decreasing, never overshooting
         for f in np.linspace(0.52, 1.0, 50):
             trace = pump(f, 12)
-            fs = trace.fidelities
+            fs = fidelities(trace)
             for a, b in zip(fs, fs[1:]):
                 assert b >= a
                 if trace.fixed_point - a > 1e-9:
@@ -125,8 +141,8 @@ class TestPumpTraceSummary:
             current = step.fidelity
             fids.append(current)
         n_optimal = next(k for k, x in enumerate(fids) if xstar - x < EPSILON_DEFAULT)
-        return PumpTrace(f=f, rounds=tuple(rounds), f_hat=rounds[-1].fidelity - f,
-                         fixed_point=xstar, n_optimal=n_optimal)
+        return PumpTrace(f=f, rounds=tuple(rounds), fixed_point=xstar,
+                         n_optimal=n_optimal)
 
     def test_trace_unchanged_on_grid(self):
         for f in np.linspace(0.51, 1.0, 25):
@@ -185,7 +201,7 @@ class TestFixedPoint:
 
     def test_pump_converges_to_it(self):
         trace = pump(0.75, 20)
-        assert trace.fixed_point - trace.fidelities[-1] < 1e-6
+        assert trace.fixed_point - trace.rounds[-1].fidelity < 1e-6
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -197,7 +213,7 @@ class TestOptimalRounds:
     # within EPSILON_DEFAULT of the fixed point
     def test_saturation_after_four_rounds(self):
         # F_4 is the first fidelity within 0.005 of the fixed point
-        gaps = [fixed_point(0.75) - x for x in pump(0.75, 4).fidelities]
+        gaps = [fixed_point(0.75) - x for x in fidelities(pump(0.75, 4))]
         assert [gap < 0.005 for gap in gaps] == [False] * 4 + [True]
 
     def test_default_epsilon(self):
@@ -235,10 +251,10 @@ class TestSaturationTable:
             assert all(r.delta >= 0.0 for r in pump(f, 8).rounds)
 
     def test_f_bar_is_delta_of_f_hat(self):
-        # the f_hat of a trace of n rounds steps by round n's delta, on
-        # both pump modes and the baseline's Bell-weight map
+        # fig6's F_hat = F_n - f of a trace of n rounds steps by round n's
+        # delta, on both pump modes and the baseline's Bell-weight map
         for trace in (lambda n: pump(0.8, n), lambda n: pump(0.8, n, mode="simulation"),
                       lambda n: scheme_c_pump(0.8, n)):
-            hats = [0.0] + [trace(n).f_hat for n in range(1, 7)]
+            hats = [0.0] + [trace(n).rounds[-1].fidelity - 0.8 for n in range(1, 7)]
             for r in trace(6).rounds:
                 assert r.delta == pytest.approx(hats[r.n] - hats[r.n - 1], abs=1e-14)

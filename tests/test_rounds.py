@@ -15,11 +15,11 @@ from xypurify import (
     bell_decompose,
     bell_diagonal_map,
     bootstrap_round,
-    closed_form_fidelity,
+    closed_form_at,
     closed_form_general,
-    closed_form_success,
     computational_pair,
     evolve_composite,
+    evolve_triplet,
     fidelity,
     operational_time,
     random_bell_diagonal,
@@ -48,21 +48,22 @@ class TestClosedForms:
         # algebraic simplification of the trig form at t0 = 0, checked
         # against a numeric sweep of f
         for f in np.linspace(0.0, 1.0, 11):
-            assert closed_form_fidelity(0.0, f) == pytest.approx(f, abs=1e-12)
+            assert closed_form_at(0.0, f).fidelity == pytest.approx(f, abs=1e-12)
 
     def test_peak_value(self):
-        assert closed_form_fidelity(T, 0.75) == pytest.approx(42.625 / 51.5,
-                                                              abs=1e-14)
+        assert closed_form_at(T, 0.75).fidelity == pytest.approx(42.625 / 51.5,
+                                                                 abs=1e-14)
 
     def test_perfect_input_stays_perfect(self):
-        assert closed_form_fidelity(T, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert closed_form_at(T, 1.0).fidelity == pytest.approx(1.0, abs=1e-14)
 
     def test_general_matches_diagonal_special_case(self):
         for f in np.linspace(0.5, 1.0, 11):
+            at = closed_form_at(T, f)
             assert closed_form_general(f, f).fidelity == pytest.approx(
-                closed_form_fidelity(T, f), abs=1e-12)
+                at.fidelity, abs=1e-12)
             assert closed_form_general(f, f).success_probability == pytest.approx(
-                closed_form_success(T, f), abs=1e-12)
+                at.success_probability, abs=1e-12)
 
     def test_values_at_fixed_points(self):
         assert closed_form_general(1.0, 1.0).fidelity == pytest.approx(1.0)
@@ -81,7 +82,7 @@ class TestClosedForms:
         # pair weights, which is the per-outcome (not per accepted set)
         # probability
         for f in (0.6, 0.8, 1.0):
-            assert closed_form_success(0.0, f) == pytest.approx(
+            assert closed_form_at(0.0, f).success_probability == pytest.approx(
                 ((1 + 2 * f) / 6.0) ** 2, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -94,17 +95,17 @@ class TestClosedForms:
         assert 972.0 * p >= 51.0 - 1e-12
 
     def test_fidelity_denominator_bound(self):
-        # closed_form_fidelity's docstring: with c = cos(6 J t0) its
+        # closed_form_at's docstring: with c = cos(6 J t0) the fidelity
         # denominator is -8 (4f-1)(2f+1) c^2 + 16 (4f-1)(f-1) c + 42 f - 51
         # and lies in [-81, -9], the maximum at f = 1, c = 0; it is
-        # -972 P / (1 + 2f) with P = closed_form_success.  The grid holds
+        # -972 P / (1 + 2f) with P the success probability.  The grid holds
         # f = 0 and 1 and J t0 = pi/12, where c = 0.
         fs = np.linspace(0.0, 1.0, 101)
         jts = np.append(np.linspace(0.0, np.pi / 3, 241), np.pi / 12)
         dens = []
         for f in fs:
             for jt in jts:
-                den = -972.0 * closed_form_success(jt, f) / (1.0 + 2.0 * f)
+                den = -972.0 * closed_form_at(jt, f).success_probability / (1.0 + 2.0 * f)
                 c = np.cos(6.0 * jt)
                 assert den == pytest.approx(
                     -8 * (4 * f - 1) * (2 * f + 1) * c * c
@@ -118,13 +119,12 @@ class TestClosedForms:
     # 1e308 and -1e308 are finite, but the phase 12 J t0 overflows
     @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     def test_non_finite_time_rejected(self, t0):
-        for closed_form in (closed_form_fidelity, closed_form_success):
-            with pytest.raises(DomainError):
-                closed_form(t0, 0.75)
+        with pytest.raises(DomainError):
+            closed_form_at(t0, 0.75)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            closed_form_fidelity(T, 1.5)
+            closed_form_at(T, 1.5)
         with pytest.raises(DomainError):
             closed_form_general(0.5, -0.1)
 
@@ -146,10 +146,10 @@ class TestOperationalTime:
                 assert j * ot.t == pytest.approx(np.pi / 3 * (n + 0.5), abs=1e-12)
 
     def test_local_maximum(self):
-        f0 = closed_form_fidelity(T, 0.75)
+        f0 = closed_form_at(T, 0.75).fidelity
         for delta in (1e-3, 1e-2):
-            assert closed_form_fidelity(T - delta, 0.75) <= f0
-            assert closed_form_fidelity(T + delta, 0.75) <= f0
+            assert closed_form_at(T - delta, 0.75).fidelity <= f0
+            assert closed_form_at(T + delta, 0.75).fidelity <= f0
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
@@ -179,6 +179,24 @@ def test_operational_time_takes_numpy_integers():
     assert operational_time(1.0, np.int64(2)) == operational_time(1.0, 2)
 
 
+# numpy floats take the Python-float path, and ints past the float range
+# meet the range check first: a DomainError, with no numpy RuntimeWarning
+# (an error under pytest) or OverflowError on the way
+@pytest.mark.parametrize("call", [
+    lambda: closed_form_at(np.float64(1e308), 0.75),
+    lambda: closed_form_at(np.float64(-1e308), 0.75),
+    lambda: closed_form_at(2**1024, 0.75),
+    lambda: operational_time(np.float64(1e-320)),
+    lambda: evolve_triplet(np.float64(1e308)),
+    lambda: run_round(make_input(0.8, 0.7, np.float64(1e308))),
+    lambda: run_round(make_input(0.8, 0.7, 2**1024)),
+], ids=["closed_form", "closed_form-negative", "closed_form-int", "operational_time",
+        "evolve_triplet", "run_round", "run_round-int"])
+def test_overflow_of_numpy_float_or_int_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestRunRound:
     def test_peak_fidelity(self):
         result = run_round(make_input(0.75, 0.75, T))
@@ -195,16 +213,24 @@ class TestRunRound:
             result = run_round(make_input(0.9, fprime, 0.0))
             assert result.fidelity == pytest.approx(fprime, abs=1e-12)
 
+    @staticmethod
+    def oracle_outcomes(f, fprime, t0):
+        """The oracle's probability of each of the 16 outcomes on slots (1, 2, 4, 5)."""
+        u = evolve_composite(t0).matrix
+        rho6 = six_qubit_state(werner(f).matrix, werner(f).matrix, werner(fprime).matrix)
+        evolved = u @ rho6 @ u.conj().T
+        return {format(k, "04b"): post_selected(evolved, format(k, "04b"))[0]
+                for k in range(16)}
+
     def test_outcome_probabilities_sum_to_one(self):
+        probs = self.oracle_outcomes(0.8, 0.7, 0.4)
+        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
         result = run_round(make_input(0.8, 0.7, 0.4))
-        assert sum(result.outcome_probabilities.values()) == pytest.approx(
-            1.0, abs=1e-10)
+        assert result.success_probability == pytest.approx(probs["0101"], abs=1e-12)
 
     def test_accepted_outcomes_symmetric(self):
-        result = run_round(make_input(0.8, 0.7, T))
-        p0101 = result.outcome_probabilities["0101"]
-        p1010 = result.outcome_probabilities["1010"]
-        assert p0101 == pytest.approx(p1010, abs=1e-12)
+        probs = self.oracle_outcomes(0.8, 0.7, T)
+        assert probs["0101"] == pytest.approx(probs["1010"], abs=1e-12)
 
     def test_conditioning_identical_across_accepted_outcomes(self):
         # run_round keeps the 0101 branch; the oracle's evolved six-qubit
@@ -262,10 +288,10 @@ class TestRunRound:
         for f in (0.55, 0.75, 0.95):
             for jt in (0.0, np.pi / 8, np.pi / 3):
                 result = run_round(make_input(f, f, jt))
-                assert result.fidelity == pytest.approx(
-                    closed_form_fidelity(jt, f), abs=1e-9)
+                expect = closed_form_at(jt, f)
+                assert result.fidelity == pytest.approx(expect.fidelity, abs=1e-9)
                 assert result.success_probability == pytest.approx(
-                    closed_form_success(jt, f), abs=1e-9)
+                    expect.success_probability, abs=1e-9)
 
     def test_general_formulas_at_t(self):
         for f, fprime in ((0.6, 0.9), (0.9, 0.6), (0.75, 0.82)):
@@ -318,10 +344,10 @@ class TestRunRound:
     @given(f=st.floats(0.501, 1.0), jt=st.floats(0.0, np.pi))
     def test_closed_form_property(self, f, jt):
         result = run_round(make_input(f, f, jt))
-        assert result.fidelity == pytest.approx(closed_form_fidelity(jt, f),
-                                                abs=1e-9)
+        expect = closed_form_at(jt, f)
+        assert result.fidelity == pytest.approx(expect.fidelity, abs=1e-9)
         assert result.success_probability == pytest.approx(
-            closed_form_success(jt, f), abs=1e-9)
+            expect.success_probability, abs=1e-9)
 
 
 class TestRestore:
