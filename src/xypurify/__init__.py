@@ -16,7 +16,6 @@ from .cnot import (
     ComparisonRow,
     closed_form_cnot,
     comparison_table,
-    scheme_c_pump,
 )
 from .errors import (
     AnalysisError,
@@ -57,9 +56,7 @@ from .rounds import (
     run_round,
 )
 from .states import (
-    BellDecomposition,
     DensityMatrix,
-    bell_decompose,
     computational_pair,
     fidelity,
     random_bell_diagonal,
@@ -68,7 +65,6 @@ from .states import (
 )
 from .xy import (
     EvolutionOperator,
-    evolve_composite,
     evolve_triplet,
 )
 

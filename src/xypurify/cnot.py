@@ -11,13 +11,11 @@ Werner inputs the kept-pair fidelity is the rational map
 With these rotations the round is the DEJMPS protocol (Deutsch et al.,
 PRL 77, 2818, 1996).  A Bell-diagonal source with a Werner(f) target
 stays Bell-diagonal, and its Bell weights follow the 4x4 map
-``_dejmps_map`` in f.  Every round this module reports runs through
-that map and the shared Bell-weight iterator of
-:mod:`xypurify.pumping`: :func:`comparison_table` reads its two rounds
-from the iterator, and :func:`scheme_c_pump` records its rounds and
-optimal round count in the one pump-sequence record,
-:class:`xypurify.pumping.PumpTrace`.  The fixed point is the map's
-Perron eigenvector.  No circuit is simulated here; the
+``_dejmps_map`` in f.  Pumping with the baseline gate ("scheme C": the
+stored pair the source, a fresh Werner(f) pair the target, every round)
+iterates that map through the shared Bell-weight iterator of
+:mod:`xypurify.pumping`; :func:`comparison_table` reads its two rounds
+from it.  No circuit is simulated here; the
 tests keep the four-qubit circuit as the oracle that the map, the sign
 assignment of the rotations and :func:`closed_form_cnot` are checked
 against (the mirrored sign assignment works equally well, the
@@ -32,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .pumping import MAX_ROUNDS, PumpTrace, _bell_rounds, _check_count, _trace
+from .pumping import _bell_rounds
 from .rounds import closed_form_general
 
 
@@ -41,19 +39,6 @@ def closed_form_cnot(f: float) -> float:
     if not 0.0 <= f <= 1.0:
         raise DomainError(f"fidelity must lie in [0,1], got {f}")
     return (1.0 - 2.0 * f + 10.0 * f * f) / (5.0 - 4.0 * f + 8.0 * f * f)
-
-
-def scheme_c_pump(f: float, n: int) -> PumpTrace:
-    """Entanglement pumping with the baseline gate.
-
-    The stored pair is the source, a fresh Werner(f) pair the measured
-    target, every round; the exact Bell-diagonal stored state is
-    carried between rounds (no twirling).
-    """
-    if not 0.5 < f <= 1.0:
-        raise DomainError(f"pumping needs f in (0.5, 1], got {f}")
-    _check_count("n", n, maximum=MAX_ROUNDS)
-    return _trace(f, n, _bell_rounds(_dejmps_map(f), f), _scheme_c_fixed_point(f))
 
 
 def _dejmps_map(f: float) -> np.ndarray:
@@ -68,18 +53,6 @@ def _dejmps_map(f: float) -> np.ndarray:
                      [b, 0.0, 0.0, f],
                      [0.0, b, b, 0.0],
                      [0.0, b, b, 0.0]])
-
-
-def _scheme_c_fixed_point(f: float) -> float:
-    """phi+ weight of the Perron eigenvector of :func:`_dejmps_map`.
-
-    The map has no negative entries, so by Perron-Frobenius the
-    normalised weights of :func:`xypurify.pumping._bell_rounds`, a power
-    iteration, converge to the eigenvector of its largest eigenvalue.
-    """
-    values, vectors = np.linalg.eig(_dejmps_map(f))
-    v = vectors[:, np.argmax(values.real)]
-    return float((v[0] / v.sum()).real)
 
 
 @dataclass(frozen=True)

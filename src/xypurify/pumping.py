@@ -21,16 +21,14 @@ One iterator serves each kind of round map: ``_werner_rounds`` runs the
 scalar recurrence and ``_bell_rounds`` any 4x4 Bell-weight map (the
 exact XY map above or the DEJMPS map of :mod:`xypurify.cnot`), from the
 Werner weights of :func:`xypurify.states.werner_weights`.  A pump
-sequence has one record, :class:`PumpTrace`, built by ``_trace`` from
-either iterator: the first n rounds, the fixed point and the optimal
-round count ``n_optimal``, the one optimal-round search.  It holds
-nothing a caller can read off the rounds: F_n - f is
-``rounds[n - 1].fidelity - f``.  :func:`pump` and
-:func:`xypurify.cnot.scheme_c_pump` build their traces through it;
-:mod:`xypurify.montecarlo` iterates the recurrence directly.
-Fixed points are not searched for: the recurrence's is the root of a
-quadratic (:func:`fixed_point`), and a Bell-weight map's is its Perron
-eigenvector.
+sequence has one record, :class:`PumpTrace`, which :func:`pump` builds
+through ``_trace`` in either mode: the first n rounds, the fixed point
+and the optimal round count ``n_optimal``, the one optimal-round
+search.  It holds nothing a caller can read off the rounds: F_n - f is
+``rounds[n - 1].fidelity - f``.  :mod:`xypurify.montecarlo` iterates
+the recurrence directly, and :func:`xypurify.cnot.comparison_table` the
+DEJMPS map.  The fixed point is not searched for: it is the root of a
+quadratic (:func:`fixed_point`).
 """
 from __future__ import annotations
 
@@ -128,14 +126,15 @@ def _bell_rounds(transfer: np.ndarray, f: float) -> Iterator[tuple[float, float]
 
 
 def _trace(f: float, n: int, trajectory: Iterator[tuple[float, float]],
-           xstar: float, search: Iterator[tuple[float, float]] | None = None
-           ) -> PumpTrace:
+           search: Iterator[tuple[float, float]] | None = None) -> PumpTrace:
     """The first n rounds of a trajectory from F_0 = f, as a :class:`PumpTrace`.
 
-    ``n_optimal`` is the smallest n with xstar - F_n < EPSILON_DEFAULT
-    along ``search``, a trajectory from the same f; without one, along
-    ``trajectory`` itself, whose rounds are then computed once.
+    ``n_optimal`` is the smallest n with fixed_point(f) - F_n <
+    EPSILON_DEFAULT along ``search``, a trajectory from the same f;
+    without one, along ``trajectory`` itself, whose rounds are then
+    computed once.
     """
+    xstar = fixed_point(f)
     if search is None:
         trajectory, search = tee(trajectory)
     rounds: list[PumpRound] = []
@@ -165,8 +164,7 @@ def pump(f: float, n: int, mode: PumpMode = "closed_form") -> PumpTrace:
         raise DomainError(f"pumping needs fresh-pair fidelity in (0.5, 1], got {f}")
     _check_count("n", n, maximum=MAX_ROUNDS)
     if mode == "closed_form":
-        return _trace(f, n, _werner_rounds(f), fixed_point(f))
+        return _trace(f, n, _werner_rounds(f))
     if mode == "simulation":
-        return _trace(f, n, _bell_rounds(bell_diagonal_map(f), f), fixed_point(f),
-                      _werner_rounds(f))
+        return _trace(f, n, _bell_rounds(bell_diagonal_map(f), f), _werner_rounds(f))
     raise DomainError(f"unknown pump mode {mode!r}")

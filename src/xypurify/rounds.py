@@ -7,7 +7,10 @@ under the ring-exchange Hamiltonian for a time t0, measures slots
 (1,2,4,5) in the computational basis, and keeps the stationary pair
 conditioned on the predefined outcome.  These positions are the only
 slot bookkeeping: the six-qubit arrays run over slots 1..6 in order,
-and the returned pair is the 4x4 matrix of slots (3, 6).
+and the returned pair is the 4x4 matrix of slots (3, 6).  The six-qubit
+propagator is the Kronecker square of the triplet propagator of
+:mod:`xypurify.xy`; only that 8x8 factor is checked for unitarity
+(:func:`run_round` shows why that suffices).
 
 Units: like :mod:`xypurify.xy`, this module works in units J = 1, so
 every time it takes (t0) is J t.  :func:`operational_time` alone takes
@@ -47,12 +50,12 @@ import numpy as np
 from .errors import DomainError, ShapeError, ZeroProbabilityError
 from .states import (
     DensityMatrix,
+    _bell_off_diagonal,
     _werner_matrix,
-    bell_decompose,
     computational_pair,
     fidelity,
 )
-from .xy import evolve_composite
+from .xy import evolve_triplet
 
 MEASURED_SLOTS = (1, 2, 4, 5)
 PREDEFINED_OUTCOME = "0101"
@@ -125,13 +128,21 @@ def run_round(inp: RoundInput) -> RoundResult:
     and its trace the success probability.  Only the returned stationary
     pair is a validated :class:`DensityMatrix`; the six-qubit state is a
     plain array.
+
+    The two triplets evolve under u = u3 (x) u3, with u3 the 8x8
+    propagator of :func:`xypurify.xy.evolve_triplet`, which checks it.
+    The 64x64 product needs no check of its own: (A (x) B)^H (A (x) B) =
+    A^H A (x) B^H B, so if u3^H u3 = I + E with max |E| <= eps, then
+    u^H u - I = E (x) I + I (x) E + E (x) E, and every entry of that is
+    at most 2 eps + eps^2 in magnitude.
     """
     # rho_f(1,4) x rho_f(2,5) x rho_stat(3,6), each (row, row, col, col),
     # into rows 1..6 then columns 1..6
     pair = _werner_matrix(inp.f).reshape(2, 2, 2, 2)
     stat = inp.stationary_state.matrix.reshape(2, 2, 2, 2)
     rho6 = np.einsum("adAD,beBE,cfCF->abcdefABCDEF", pair, pair, stat)
-    u = evolve_composite(inp.t0).matrix
+    u3 = evolve_triplet(inp.t0).matrix
+    u = np.kron(u3, u3)
     evolved = u @ rho6.reshape(64, 64) @ u.conj().T
     b1, b2, b4, b5 = (int(b) for b in PREDEFINED_OUTCOME)
     block = evolved.reshape((2,) * 12)[b1, b2, :, b4, b5, :,
@@ -145,7 +156,7 @@ def run_round(inp: RoundInput) -> RoundResult:
     return RoundResult(
         post_state=post,
         success_probability=prob,
-        werner_deviation=bell_decompose(post).off_diagonal_norm,
+        werner_deviation=_bell_off_diagonal(post),
     )
 
 

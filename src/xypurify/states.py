@@ -6,14 +6,13 @@ finite entries, Hermiticity, unit trace and positivity, against the
 constant tolerances below.  Intermediates inside a computation (the
 six-qubit product and its evolution in :func:`xypurify.rounds.run_round`)
 are plain arrays and are not validated: they are Kronecker products of
-validated states under a unitary that :class:`xypurify.xy.EvolutionOperator`
-checks.
+validated states under the Kronecker square of a triplet propagator
+whose 8x8 factor :class:`xypurify.xy.EvolutionOperator` checks.
 
-The rest is the Bell/Werner constructors and the Bell-basis
-decomposition used throughout the purification analysis.
-:func:`werner_weights` is the one definition of the Werner state's Bell
-weights: the Werner matrix here and the Bell-weight iterator of
-:mod:`xypurify.pumping` both read it.
+The rest is the Bell/Werner constructors and the Bell basis used
+throughout the purification analysis.  :func:`werner_weights` is the one
+definition of the Werner state's Bell weights: the Werner matrix here
+and the Bell-weight iterator of :mod:`xypurify.pumping` both read it.
 """
 from __future__ import annotations
 
@@ -35,6 +34,10 @@ from .errors import (
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+# on the real and imaginary part of every entry: a state's are at most 1
+# (|rho_ij|^2 <= rho_ii rho_jj), so 2 leaves room for the tolerances and
+# keeps the sums of the checks below finite
+MAX_ENTRY = 2.0
 
 # Computational basis kets and the standard Bell basis.
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -74,13 +77,23 @@ class DensityMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+        try:
+            # C order, so that the last axis of the float view below is
+            # contiguous whatever the input's layout
+            mat = np.array(self.matrix, dtype=complex, order="C")
+        except OverflowError:
+            # a Python int past the float range; a float one is inf, below
+            raise StateValidationError("matrix has entries past the float range") from None
         object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeError(f"expected a square matrix, got shape {mat.shape}")
-        # before eigvalsh, which cannot take nan or inf
-        if not np.isfinite(mat).all():
-            raise StateValidationError("matrix has non-finite entries")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ShapeError(f"expected a nonempty square matrix, got shape {mat.shape}")
+        # before eigvalsh, which cannot take nan or inf, and before the
+        # sums below, which overflow past the float range with a warning
+        peak = np.abs(mat.view(float)).max()
+        if not peak <= MAX_ENTRY:
+            raise StateValidationError(
+                "matrix has non-finite entries" if not np.isfinite(peak) else
+                f"matrix has an entry part of magnitude {peak:.3e}, above {MAX_ENTRY:g}")
         herm = np.abs(mat - mat.conj().T).max()
         if not herm <= HERMITICITY_TOL:
             raise StateValidationError(f"not Hermitian: max deviation {herm:.3e}")
@@ -146,23 +159,14 @@ def fidelity(rho: DensityMatrix) -> float:
     return float(np.real(np.trace(BELL_PROJECTORS["phi_plus"] @ rho.matrix)))
 
 
-@dataclass(frozen=True)
-class BellDecomposition:
-    """Bell-basis view of a two-qubit state."""
+def _bell_off_diagonal(rho: DensityMatrix) -> float:
+    """Largest off-diagonal magnitude of a two-qubit state in the Bell basis.
 
-    weights: Mapping[str, float]
-    off_diagonal_norm: float
-    matrix: np.ndarray = field(repr=False)  # state in the Bell basis
-
-
-def bell_decompose(rho: DensityMatrix) -> BellDecomposition:
-    """Diagonal Bell weights plus the largest off-diagonal magnitude."""
-    if rho.dim != 4:
-        raise ShapeError(f"Bell decomposition needs a two-qubit state, got {rho.dim}")
+    Its distance from Bell-diagonal form, which
+    :func:`xypurify.rounds.run_round` reports as ``werner_deviation``.
+    """
     m = (_BELL_BASIS_INT.conj().T @ rho.matrix @ _BELL_BASIS_INT) / 2.0
-    weights = {k: float(np.real(m[i, i])) for i, k in enumerate(BELL_ORDER)}
-    off = m - np.diag(np.diag(m))
-    return BellDecomposition(weights, float(np.abs(off).max()), m)
+    return float(np.abs(m - np.diag(np.diag(m))).max())
 
 
 def random_bell_diagonal(rng: np.random.Generator, labels=None) -> DensityMatrix:

@@ -1,4 +1,4 @@
-"""Three-spin isotropic XY ring Hamiltonian and its evolution operators.
+"""Three-spin isotropic XY ring Hamiltonian and its evolution operator.
 
 The generator used throughout the protocol code is
 
@@ -14,6 +14,11 @@ to the exact identity at J t = m pi, which is what makes failed rounds
 restorable.  The single-excitation block then has eigenvalues
 {4J, -2J, -2J}.  A ring of coupling J evolved for t is the unit ring
 evolved for J t, a negative J included.
+
+:func:`evolve_triplet` is the one propagator, for one triplet; a round's
+two triplets evolve under its Kronecker square, which
+:func:`xypurify.rounds.run_round` builds (and the docstring there shows
+why that needs no check of its own).
 """
 from __future__ import annotations
 
@@ -89,9 +94,3 @@ def evolve_triplet(t: float) -> EvolutionOperator:
     t = float(t)
     u = (_XY_V * np.exp(-1j * _XY_W * t)) @ _XY_V_H
     return EvolutionOperator(u)
-
-
-def evolve_composite(t: float) -> EvolutionOperator:
-    """Propagator for two identical triplets, slots (1,2,3) x (4,5,6)."""
-    u3 = evolve_triplet(t).matrix
-    return EvolutionOperator(np.kron(u3, u3))

@@ -5,7 +5,11 @@ round fixes every pairing by position: conveyed pairs on slots (1, 4)
 and (2, 5), the stored pair on (3, 6).  Here the three pairs are joined
 with ``np.kron`` in the order (1, 4, 2, 5, 3, 6) and moved to slot order
 1..6 by an explicit transpose, not by ``run_round``'s ``einsum``.
-:func:`restore` completes a partial ring evolution to a full period.
+:func:`ring_pair` is the two triplets' propagator, and :func:`restore`
+completes a partial ring evolution to a full period.
+
+:func:`bell_matrix` and :func:`bell_weights` give a two-qubit state in
+the Bell basis, from the Bell vectors written out here.
 
 The four-qubit CNOT baseline circuit, :func:`cnot_round`: the reference
 for ``cnot._dejmps_map`` and ``closed_form_cnot``, which give every CNOT
@@ -16,8 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xypurify import DensityMatrix, DomainError, ZeroProbabilityError, fidelity
-from xypurify.xy import evolve_composite
+from xypurify import (
+    DensityMatrix,
+    DomainError,
+    ZeroProbabilityError,
+    evolve_triplet,
+    fidelity,
+)
+from xypurify.states import BELL_ORDER
 
 # position of slots 1..6 in the Kronecker order (1, 4, 2, 5, 3, 6)
 KRON_TO_SLOTS = (0, 2, 4, 1, 3, 5)
@@ -37,6 +47,12 @@ def six_qubit_state(p14, p25, p36):
     return to_slot_order(np.kron(np.kron(p14, p25), p36))
 
 
+def ring_pair(t):
+    """Propagator of the triplets (1, 2, 3) and (4, 5, 6), both evolved for t."""
+    u3 = evolve_triplet(t).matrix
+    return np.kron(u3, u3)
+
+
 def stored_pair(rho6):
     """Reduced state of slots (3, 6): slots 1, 2, 4 and 5 traced out."""
     t = np.asarray(rho6).reshape((2,) * 12)
@@ -44,7 +60,6 @@ def stored_pair(rho6):
         # a row axis and its column axis, half the remaining axes further on
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
     return t.reshape(4, 4)
-
 
 
 def post_selected(rho6, bits):
@@ -67,8 +82,28 @@ def restore(rho6, elapsed):
     less 1e-12 periods.
     """
     m = max(1, math.ceil(elapsed / math.pi - 1e-12))
-    u = evolve_composite(m * math.pi - elapsed).matrix
+    u = ring_pair(m * math.pi - elapsed)
     return u @ np.asarray(rho6) @ u.conj().T
+
+
+# --- the Bell basis -----------------------------------------------------
+
+# columns: the Bell vectors in BELL_ORDER, each times sqrt(2), in the
+# basis 00, 01, 10, 11
+_BELL_COLUMNS = np.array([[1, 1, 0, 0],
+                          [0, 0, 1, 1],
+                          [0, 0, 1, -1],
+                          [1, -1, 0, 0]])
+
+
+def bell_matrix(rho):
+    """A two-qubit DensityMatrix in the Bell basis, rows and columns in BELL_ORDER."""
+    return _BELL_COLUMNS.T @ rho.matrix @ _BELL_COLUMNS / 2.0
+
+
+def bell_weights(rho):
+    """The Bell weights of a two-qubit DensityMatrix, keyed by BELL_ORDER."""
+    return dict(zip(BELL_ORDER, np.diag(bell_matrix(rho)).real.tolist()))
 
 
 # --- the four-qubit CNOT baseline round ---------------------------------

@@ -16,19 +16,17 @@ from xypurify import (
     DensityMatrix,
     ProtocolConfig,
     RoundInput,
-    bell_decompose,
     bootstrap_round,
     closed_form_at,
     closed_form_cnot,
     closed_form_general,
+    comparison_table,
     convergence_study,
-    evolve_composite,
     expected_attempts,
     operational_time,
     pump,
     random_bell_diagonal,
     run_round,
-    scheme_c_pump,
     simulate_batch,
     solve_geometry,
     werner,
@@ -36,7 +34,7 @@ from xypurify import (
 )
 from xypurify.cavity import peak_collective_coupling
 
-from oracle import cnot_round, restore, six_qubit_state
+from oracle import bell_matrix, bell_weights, cnot_round, restore, ring_pair, six_qubit_state
 
 T = operational_time(1.0).t
 
@@ -74,7 +72,7 @@ def werner_round(f, fprime, t0):
 
 def coherence(rho):
     """The real phi+/phi- coherence d of a two-qubit state."""
-    return float(np.real(bell_decompose(rho).matrix[0, 1]))
+    return float(np.real(bell_matrix(rho)[0, 1]))
 
 
 def test_criterion_01_peak_fidelity():
@@ -134,7 +132,7 @@ def test_criterion_05_restoration():
             rho = six_qubit_state(*(random_bell_diagonal(rng).matrix
                                     for _ in range(3)))
             elapsed = rng.uniform(0.0, math.pi)
-            u = evolve_composite(elapsed).matrix
+            u = ring_pair(elapsed)
             evolved = DensityMatrix(u @ rho @ u.conj().T)
             restored = restore(evolved.matrix, elapsed)
             delta = restored - rho
@@ -159,7 +157,7 @@ def test_criterion_07_comparison_claims():
         for f in np.round(np.arange(0.55, 0.951, 0.05), 10):
             xy = closed_form_general(f, f).fidelity
             assert xy > closed_form_cnot(f)
-            two_round = scheme_c_pump(f, 2).rounds[-1].fidelity
+            two_round = comparison_table([f])[0].scheme_c_two_rounds
             assert abs(two_round - xy) < 0.03
 
 
@@ -167,7 +165,7 @@ def test_criterion_08_bootstrap():
     with _Budget("8 bootstrap", 10.0):
         result = bootstrap_round(0.75, T)
         state = result.post_state
-        assert abs(bell_decompose(state).weights["phi_plus"] - 0.75) < 0.02
+        assert abs(bell_weights(state)["phi_plus"] - 0.75) < 0.02
         coherences = [abs(coherence(state))]
         for _ in range(5):
             state = run_round(RoundInput(f=0.75, stationary_state=state,

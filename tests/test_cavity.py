@@ -95,6 +95,25 @@ class TestGeometry:
         with pytest.raises(GeometryError, match="above the bound"):
             replace(geom, v=math.nextafter(geom.v, 0.0))
 
+    def test_transit_window_bound_below_unit_detuning(self, monkeypatch):
+        # below |delta| = 1 the couplings, not delta, set the step count, so
+        # max(|delta|, 1) (t_b - t_a) is bounded: the window itself
+        geom = default_geom(delta=1e-4, v=1e-3)
+        t_a, t_b = geom.window()
+        monkeypatch.setattr(cavity, "MAX_TRANSIT_PHASE", t_b - t_a)
+        for delta in (1e-4, -0.5, 1.0):
+            assert replace(geom, delta=delta).delta == delta
+        for change in (dict(v=math.nextafter(geom.v, 0.0)),
+                       dict(delta=math.nextafter(1.0, 2.0))):
+            with pytest.raises(GeometryError, match="above the bound"):
+                replace(geom, **change)
+        monkeypatch.undo()
+        # a slow conveyor at a small detuning: |delta| times its window of
+        # ~1.1e8 is ~1.1e4, far below the bound, but the exact run would
+        # take millions of steps
+        with pytest.raises(GeometryError, match="above the bound"):
+            default_geom(delta=1e-4, v=1e-7)
+
     def test_field_bounds(self):
         # each bound is inclusive, and the first float past it is rejected
         # before any run

@@ -402,6 +402,19 @@ class TestTransitPhaseBound:
         assert err["error"] == "GeometryError"
         assert f"above the bound of {cavity.MAX_TRANSIT_PHASE:.3g}" in err["message"]
 
+    def test_slow_transit_below_unit_detuning_exit_2(self, runner, monkeypatch):
+        # |delta| times the window is only 1.1e4 here, but the couplings set
+        # the step count below |delta| = 1: the window of 1.1e8 is rejected
+        def no_run(*args):
+            raise AssertionError("integrated a geometry above the phase bound")
+        monkeypatch.setattr(cavity, "_dop853", no_run)
+        result = runner.invoke(main, ["validate-cavity", "--delta", "1e-4", "--ell", "1",
+                                      "--v", "1e-7", "--force"])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "GeometryError"
+        assert "above the bound" in err["message"]
+
 
 class TestTableBound:
     @pytest.mark.parametrize("args", [

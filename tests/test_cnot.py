@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,17 +8,15 @@ from xypurify import (
     DensityMatrix,
     DomainError,
     ZeroProbabilityError,
-    bell_decompose,
     closed_form_cnot,
     closed_form_general,
     comparison_table,
     random_bell_diagonal,
-    scheme_c_pump,
     werner,
 )
 from xypurify.cnot import _dejmps_map
-from xypurify.pumping import EPSILON_DEFAULT
-from xypurify.states import BELL_ORDER
+from xypurify.pumping import _bell_rounds
+from xypurify.states import BELL_ORDER, _bell_off_diagonal
 
 import oracle
 from oracle import U_MINUS, U_PLUS, cnot_round
@@ -74,7 +73,7 @@ class TestCnotRound:
             src = random_bell_diagonal(rng)
             tgt = random_bell_diagonal(rng)
             res = cnot_round(src, tgt)
-            assert bell_decompose(res.post_state).off_diagonal_norm < 1e-10
+            assert _bell_off_diagonal(res.post_state) < 1e-10
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -89,46 +88,59 @@ class TestCnotRound:
             cnot_round(werner(0.8), werner(0.7))
 
 
+def scheme_c_rounds(f, n):
+    """(F_k, P_k) of the first n rounds of pumping with the baseline gate."""
+    return list(islice(_bell_rounds(_dejmps_map(f), f), n))
+
+
+def simulated_fixed_point(f, max_iter=500):
+    """The limit of a cnot_round pump loop with fresh Werner(f) targets."""
+    stored = quiet_werner(f)
+    prev = f
+    for _ in range(max_iter):
+        res = cnot_round(stored, quiet_werner(f))
+        stored = res.post_state
+        if abs(res.fidelity - prev) < 1e-15:
+            return res.fidelity
+        prev = res.fidelity
+    raise AssertionError(f"no convergence for f={f}")
+
+
 class TestSchemeCPump:
+    # the stored pair the source, a fresh Werner(f) pair the target, every
+    # round: the DEJMPS map through the shared Bell-weight iterator
     def test_single_round_equals_formula(self):
         for f in (0.6, 0.75, 0.9):
-            trace = scheme_c_pump(f, 1)
-            assert trace.rounds[0].fidelity == pytest.approx(
-                closed_form_cnot(f), abs=1e-12)
+            [(fid, _)] = scheme_c_rounds(f, 1)
+            assert fid == pytest.approx(closed_form_cnot(f), abs=1e-12)
 
     def test_two_rounds_near_xy_single_round(self):
-        trace = scheme_c_pump(0.75, 2)
-        assert trace.rounds[-1].fidelity == pytest.approx(0.840909, abs=1e-5)
+        two, _ = scheme_c_rounds(0.75, 2)[-1]
+        assert two == pytest.approx(0.840909, abs=1e-5)
         xy = closed_form_general(0.75, 0.75).fidelity
-        assert abs(trace.rounds[-1].fidelity - xy) < 0.03
+        assert abs(two - xy) < 0.03
+        assert comparison_table([0.75])[0].scheme_c_two_rounds == two
 
     def test_perfect_pairs(self):
-        trace = scheme_c_pump(1.0, 3)
-        assert all(r.fidelity == pytest.approx(1.0, abs=1e-12)
-                   for r in trace.rounds)
+        assert all(fid == pytest.approx(1.0, abs=1e-12)
+                   for fid, _ in scheme_c_rounds(1.0, 3))
 
     def test_monotone_toward_fixed_point(self):
-        trace = scheme_c_pump(0.7, 10)
-        fs = [trace.f] + [r.fidelity for r in trace.rounds]
+        # the circuit loop's limit bounds the map's rounds from above
+        fs = [0.7] + [fid for fid, _ in scheme_c_rounds(0.7, 10)]
         assert all(b > a for a, b in zip(fs, fs[1:]))
-        assert fs[-1] <= trace.fixed_point + 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            scheme_c_pump(0.5, 2)
+        assert fs[-1] <= simulated_fixed_point(0.7) + 1e-12
 
     @pytest.mark.parametrize("f", [0.51, 0.6, 0.75, 0.9, 0.99, 1.0])
     def test_rounds_match_circuit_loop(self, f):
-        # every reported round comes from the Bell-weight map; the circuit,
-        # carrying its exact stored state, is the reference over 30 rounds
-        trace = scheme_c_pump(f, 30)
+        # the Bell-weight map, iterated; the circuit, carrying its exact
+        # stored state, is the reference over 30 rounds
         stored = target = quiet_werner(f)
-        for r in trace.rounds:
+        for fid, p in scheme_c_rounds(f, 30):
             res = cnot_round(stored, target)
             stored = res.post_state
-            assert r.fidelity == pytest.approx(res.fidelity, rel=1e-12, abs=0)
-            assert r.success_probability == pytest.approx(res.success_probability,
-                                                          rel=1e-12, abs=0)
+            assert fid == pytest.approx(res.fidelity, rel=1e-12, abs=0)
+            assert p == pytest.approx(res.success_probability, rel=1e-12, abs=0)
 
 
 class TestComparisonTable:
@@ -192,31 +204,8 @@ class TestComparisonTable:
 
 
 def bell_weights(rho):
-    weights = bell_decompose(rho).weights
+    weights = oracle.bell_weights(rho)
     return np.array([weights[k] for k in BELL_ORDER])
-
-
-def simulated_fixed_point(f, max_iter=500):
-    # the limit of a cnot_round loop, the oracle for the map's Perron vector
-    stored = quiet_werner(f)
-    prev = f
-    for _ in range(max_iter):
-        res = cnot_round(stored, quiet_werner(f))
-        stored = res.post_state
-        if abs(res.fidelity - prev) < 1e-15:
-            return res.fidelity
-        prev = res.fidelity
-    raise AssertionError(f"no convergence for f={f}")
-
-
-def simulated_optimal_rounds(f, epsilon):
-    target = simulated_fixed_point(f)
-    stored = quiet_werner(f)
-    current, n = f, 0
-    while target - current >= epsilon:
-        res = cnot_round(stored, quiet_werner(f))
-        stored, current, n = res.post_state, res.fidelity, n + 1
-    return n
 
 
 class TestDejmpsMap:
@@ -235,9 +224,3 @@ class TestDejmpsMap:
             w = np.array([f] + 3 * [(1.0 - f) / 3.0])
             assert (_dejmps_map(f) @ w).sum() == pytest.approx(
                 (5 - 4 * f + 8 * f * f) / 9.0, abs=1e-15)
-
-    def test_fixed_point_and_optimal_rounds_match_simulation(self):
-        for f in np.linspace(0.55, 1.0, 10):
-            trace = scheme_c_pump(f, 1)
-            assert trace.fixed_point == pytest.approx(simulated_fixed_point(f), abs=1e-14)
-            assert trace.n_optimal == simulated_optimal_rounds(f, EPSILON_DEFAULT)

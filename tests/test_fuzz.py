@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from xypurify import (
     BelowThresholdWarning,
     CavityGeometry,
+    DensityMatrix,
     XyPurifyError,
     asymptotic_hamiltonian,
     bell_diagonal_map,
@@ -80,6 +81,13 @@ def finite_or_rejected(call):
         return None
     assert all(np.isfinite(x) for x in numbers_in(result)), result
     return result
+
+
+@QUICK
+@given(a=NUMBERS, b=NUMBERS, c=NUMBERS)
+def test_density_matrix(a, b, c):
+    # diagonal a, b and coherence c; ints past the float range included
+    finite_or_rejected(lambda: DensityMatrix([[a, c], [c, b]]))
 
 
 @QUICK

@@ -27,23 +27,23 @@ CAVITY_NAMES = (
 # sorted order; a name joins or leaves the package only with an edit here
 PUBLIC_API = (
     "AgreementReport", "AnalysisError", "AsymptoticCouplings", "BatchStats",
-    "BellDecomposition", "BelowThresholdWarning", "CavityGeometry",
+    "BelowThresholdWarning", "CavityGeometry",
     "ComparisonRow", "ConfigurationError",
     "DensityMatrix", "DomainError",
     "EvolutionOperator", "GeometryError", "OperationalTime", "ProtocolConfig", "ProtocolStats", "PumpRound",
     "PumpTrace", "RoundFormulas", "RoundInput", "RoundResult",
     "ShapeError", "StateValidationError", "StiffnessError",
     "Trajectory", "XyPurifyError",
-    "ZeroProbabilityError", "asymptotic_hamiltonian", "bell_decompose",
+    "ZeroProbabilityError", "asymptotic_hamiltonian",
     "bell_diagonal_map", "bootstrap_round", "cavity",
     "closed_form_at", "closed_form_cnot", "closed_form_general",
     "cnot", "comparison_table",
     "computational_pair", "convergence_study", "errors",
-    "evolve_composite", "evolve_triplet", "expected_attempts", "fidelity",
+    "evolve_triplet", "expected_attempts", "fidelity",
     "fixed_point", "integrate_full", "montecarlo",
     "operational_time", "pump", "pumping",
     "random_bell_diagonal", "rounds", "run_protocol",
-    "run_round", "scheme_c_pump", "simulate_batch",
+    "run_round", "simulate_batch",
     "solve_geometry", "states", "werner", "werner_weights", "xy", "xy_agreement",
 )
 

@@ -12,7 +12,6 @@ from xypurify import (
     operational_time,
     pump,
     run_round,
-    scheme_c_pump,
     werner,
 )
 from xypurify.pumping import EPSILON_DEFAULT, MAX_ROUNDS
@@ -25,10 +24,7 @@ def fidelities(trace):
 
 # a round count is an integer >= 1, checked before any round runs
 @pytest.mark.parametrize("n", [2.5, np.nan, True, 0], ids=["float", "nan", "bool", "zero"])
-@pytest.mark.parametrize("entry", [
-    lambda n: pump(0.8, n),
-    lambda n: scheme_c_pump(0.8, n),
-], ids=["pump", "scheme_c_pump"])
+@pytest.mark.parametrize("entry", [lambda n: pump(0.8, n)], ids=["pump"])
 def test_round_count_is_an_integer(entry, n):
     with pytest.raises(DomainError, match=r"^n must be (an integer|>= 1), got"):
         entry(n)
@@ -37,10 +33,7 @@ def test_round_count_is_an_integer(entry, n):
 # at most MAX_ROUNDS, the bound of the optimal-round search; an int past
 # the float range raised islice's bare ValueError
 @pytest.mark.parametrize("n", [MAX_ROUNDS + 1, 2**1024], ids=["above", "past-floats"])
-@pytest.mark.parametrize("entry", [
-    lambda n: pump(0.8, n),
-    lambda n: scheme_c_pump(0.8, n),
-], ids=["pump", "scheme_c_pump"])
+@pytest.mark.parametrize("entry", [lambda n: pump(0.8, n)], ids=["pump"])
 def test_round_count_is_bounded(entry, n):
     with pytest.raises(DomainError, match=f"^n must be at most {MAX_ROUNDS}, got"):
         entry(n)
@@ -252,9 +245,8 @@ class TestSaturationTable:
 
     def test_f_bar_is_delta_of_f_hat(self):
         # fig6's F_hat = F_n - f of a trace of n rounds steps by round n's
-        # delta, on both pump modes and the baseline's Bell-weight map
-        for trace in (lambda n: pump(0.8, n), lambda n: pump(0.8, n, mode="simulation"),
-                      lambda n: scheme_c_pump(0.8, n)):
+        # delta, on both pump modes
+        for trace in (lambda n: pump(0.8, n), lambda n: pump(0.8, n, mode="simulation")):
             hats = [0.0] + [trace(n).rounds[-1].fidelity - 0.8 for n in range(1, 7)]
             for r in trace(6).rounds:
                 assert r.delta == pytest.approx(hats[r.n] - hats[r.n - 1], abs=1e-14)

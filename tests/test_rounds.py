@@ -12,13 +12,11 @@ from xypurify import (
     DomainError,
     RoundInput,
     ZeroProbabilityError,
-    bell_decompose,
     bell_diagonal_map,
     bootstrap_round,
     closed_form_at,
     closed_form_general,
     computational_pair,
-    evolve_composite,
     evolve_triplet,
     fidelity,
     operational_time,
@@ -27,9 +25,18 @@ from xypurify import (
     werner,
 )
 from xypurify import rounds
-from xypurify.states import BELL_ORDER, BELL_PROJECTORS
+from xypurify.states import BELL_ORDER, BELL_PROJECTORS, _bell_off_diagonal
+from xypurify.xy import EvolutionOperator
 
-from oracle import post_selected, restore, six_qubit_state, stored_pair
+from oracle import (
+    bell_matrix,
+    bell_weights,
+    post_selected,
+    restore,
+    ring_pair,
+    six_qubit_state,
+    stored_pair,
+)
 
 T = operational_time(1.0).t  # pi/6
 
@@ -40,7 +47,7 @@ def make_input(f, fprime, t0):
 
 def coherence(rho):
     """The real phi+/phi- coherence d of a two-qubit state."""
-    return float(np.real(bell_decompose(rho).matrix[0, 1]))
+    return float(np.real(bell_matrix(rho)[0, 1]))
 
 
 class TestClosedForms:
@@ -216,7 +223,7 @@ class TestRunRound:
     @staticmethod
     def oracle_outcomes(f, fprime, t0):
         """The oracle's probability of each of the 16 outcomes on slots (1, 2, 4, 5)."""
-        u = evolve_composite(t0).matrix
+        u = ring_pair(t0)
         rho6 = six_qubit_state(werner(f).matrix, werner(f).matrix, werner(fprime).matrix)
         evolved = u @ rho6 @ u.conj().T
         return {format(k, "04b"): post_selected(evolved, format(k, "04b"))[0]
@@ -239,7 +246,7 @@ class TestRunRound:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         mixed = a @ a.conj().T
-        u = evolve_composite(T).matrix
+        u = ring_pair(T)
         for stored in (werner(0.7), computational_pair("00"),
                        DensityMatrix(mixed / np.trace(mixed))):
             result = run_round(RoundInput(f=0.8, stationary_state=stored, t0=T))
@@ -262,8 +269,8 @@ class TestRunRound:
     def test_lost_or_nan_weight_is_zero_probability(self, monkeypatch, fill):
         # a propagator that keeps no weight, or carries nan, must stop at
         # the probability check and not reach DensityMatrix
-        propagator = SimpleNamespace(matrix=np.full((64, 64), fill, dtype=complex))
-        monkeypatch.setattr(rounds, "evolve_composite", lambda t: propagator)
+        propagator = SimpleNamespace(matrix=np.full((8, 8), fill, dtype=complex))
+        monkeypatch.setattr(rounds, "evolve_triplet", lambda t: propagator)
         with pytest.raises(ZeroProbabilityError):
             run_round(make_input(0.8, 0.7, T))
 
@@ -283,6 +290,35 @@ class TestRunRound:
         bootstrap_round(0.8, T)
         # one returned pair per call, plus the bootstrap's |00> seed
         assert dims == {4: 3}
+
+    def test_checks_only_the_triplet_propagator(self, monkeypatch):
+        # the 64x64 Kronecker square is unitary whenever its 8x8 factor is
+        # (run_round's docstring), so a round checks one 8x8 propagator
+        inp = make_input(0.8, 0.7, T)
+        shapes = Counter()
+        check = EvolutionOperator.__post_init__
+
+        def counting(op):
+            check(op)
+            shapes[op.matrix.shape] += 1
+
+        monkeypatch.setattr(EvolutionOperator, "__post_init__", counting)
+        run_round(inp)
+        assert shapes == {(8, 8): 1}
+
+    @pytest.mark.parametrize("t0", [T, -0.4, 2.9])
+    def test_propagator_is_the_oracle_ring_pair(self, monkeypatch, t0):
+        # the one Kronecker product of a round is its six-qubit propagator,
+        # bit for bit the oracle's square of the triplet propagator
+        inp, expect = make_input(0.8, 0.7, t0), ring_pair(t0)
+        made = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: made.append(kron(a, b)) or made[-1])
+        run_round(inp)
+        monkeypatch.undo()
+        assert len(made) == 1
+        assert made[0].dtype == expect.dtype
+        assert made[0].tobytes() == expect.tobytes()
 
     def test_oracle_equivalence_small_grid(self):
         for f in (0.55, 0.75, 0.95):
@@ -310,19 +346,19 @@ class TestRunRound:
         # equal conveyed and stored fidelities give the full Werner form,
         # not only Bell diagonality
         result = run_round(make_input(0.7, 0.7, T))
-        dec = bell_decompose(result.post_state)
-        rest = (1 - dec.weights["phi_plus"]) / 3
+        weights = bell_weights(result.post_state)
+        rest = (1 - weights["phi_plus"]) / 3
         for k in ("phi_minus", "psi_plus", "psi_minus"):
-            assert dec.weights[k] == pytest.approx(rest, abs=1e-12)
+            assert weights[k] == pytest.approx(rest, abs=1e-12)
 
     def test_unequal_fidelities_leave_werner_family(self):
         # Bell-diagonal but the three non-target weights split; this is
         # why closed-form and simulated pumping drift apart from round 3
         result = run_round(make_input(0.9, 0.6, T))
-        dec = bell_decompose(result.post_state)
-        assert dec.off_diagonal_norm < 1e-12
-        rest = (1 - dec.weights["phi_plus"]) / 3
-        spread = max(abs(dec.weights[k] - rest)
+        weights = bell_weights(result.post_state)
+        assert result.werner_deviation < 1e-12
+        rest = (1 - weights["phi_plus"]) / 3
+        spread = max(abs(weights[k] - rest)
                      for k in ("phi_minus", "psi_plus", "psi_minus"))
         assert spread > 1e-3
 
@@ -354,7 +390,7 @@ class TestRestore:
     # the oracle's restore: the propagator is the identity at every m pi
     def evolved_composite(self, rng, elapsed):
         rho = six_qubit_state(*(random_bell_diagonal(rng).matrix for _ in range(3)))
-        u = evolve_composite(elapsed).matrix
+        u = ring_pair(elapsed)
         return rho, u @ rho @ u.conj().T
 
     def test_restores_after_gate_time(self):
@@ -386,7 +422,7 @@ class TestRestore:
 class TestBootstrap:
     def test_first_round_coefficients(self):
         result = bootstrap_round(0.75, T)
-        w = bell_decompose(result.post_state).weights
+        w = bell_weights(result.post_state)
         assert w["phi_plus"] == pytest.approx(0.75, abs=0.02)
         # frozen from the six-qubit simulation; psi+ and psi- share b
         assert w["phi_plus"] == pytest.approx(0.758398, abs=1e-5)
@@ -398,9 +434,9 @@ class TestBootstrap:
 
     def test_perfect_pairs_favor_target(self):
         result = bootstrap_round(1.0, T)
-        dec = bell_decompose(result.post_state)
-        target = dec.weights["phi_plus"]
-        assert all(target >= dec.weights[k] for k in dec.weights)
+        weights = bell_weights(result.post_state)
+        target = weights["phi_plus"]
+        assert all(target >= weights[k] for k in weights)
 
     def test_coherence_decays_over_rounds(self):
         state = bootstrap_round(0.75, T).post_state
@@ -418,7 +454,8 @@ class TestBootstrap:
 
     def test_nonzero_coherence_seen_by_decomposition(self):
         result = bootstrap_round(0.75, T)
-        assert bell_decompose(result.post_state).off_diagonal_norm > 1e-3
+        assert result.werner_deviation > 1e-3
+        assert result.werner_deviation == _bell_off_diagonal(result.post_state)
 
 
 def oracle_map(f, t0):
@@ -427,7 +464,7 @@ def oracle_map(f, t0):
     for k in BELL_ORDER:
         stored = DensityMatrix(BELL_PROJECTORS[k])
         result = run_round(RoundInput(f=f, stationary_state=stored, t0=t0))
-        weights = bell_decompose(result.post_state).weights
+        weights = bell_weights(result.post_state)
         cols.append([result.success_probability * weights[b] for b in BELL_ORDER])
     return np.array(cols).T
 
@@ -454,15 +491,15 @@ class TestBellDiagonalMap:
             for t0 in (T, -T, 3 * T):
                 stored = random_bell_diagonal(rng)
                 result = run_round(RoundInput(f=f, stationary_state=stored, t0=t0))
-                w = bell_decompose(stored).weights
+                w = bell_weights(stored)
                 post = bell_diagonal_map(f) @ [w[k] for k in BELL_ORDER]
-                dec = bell_decompose(result.post_state)
+                weights = bell_weights(result.post_state)
                 assert post.sum() == pytest.approx(result.success_probability,
                                                    abs=1e-12)
                 np.testing.assert_allclose(
-                    post / post.sum(), [dec.weights[k] for k in BELL_ORDER],
+                    post / post.sum(), [weights[k] for k in BELL_ORDER],
                     atol=1e-12, rtol=0)
-                assert dec.off_diagonal_norm < 1e-12
+                assert result.werner_deviation < 1e-12
 
     def test_werner_inputs_match_closed_form_exactly(self):
         # on sixteenths every intermediate of the float closed form is

@@ -11,18 +11,18 @@ from xypurify import (
     DomainError,
     ShapeError,
     StateValidationError,
-    bell_decompose,
     computational_pair,
     fidelity,
     random_bell_diagonal,
     werner,
     werner_weights,
 )
-from xypurify.states import BELL_ORDER, BELL_PROJECTORS
+from xypurify import states
+from xypurify.states import BELL_ORDER, BELL_PROJECTORS, _bell_off_diagonal
 
-from oracle import six_qubit_state, stored_pair, to_slot_order
+from oracle import bell_matrix, bell_weights, six_qubit_state, stored_pair, to_slot_order
 
-bell_weights = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4)
+weight_lists = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4)
 
 
 def bell_diagonal(weights):
@@ -82,9 +82,8 @@ class TestWerner:
     @given(f=st.floats(0.500001, 1.0))
     def test_invariants_and_diagonality(self, f):
         rho = werner(f)  # above threshold: no warning noise under hypothesis
-        dec = bell_decompose(rho)
-        assert dec.off_diagonal_norm == 0.0
-        assert dec.weights["phi_plus"] == pytest.approx(f, abs=1e-12)
+        assert _bell_off_diagonal(rho) == 0.0
+        assert bell_weights(rho)["phi_plus"] == pytest.approx(f, abs=1e-12)
 
 
 class TestWernerWeights:
@@ -94,7 +93,7 @@ class TestWernerWeights:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BelowThresholdWarning)
             rho = werner(f)
-        weights = bell_decompose(rho).weights
+        weights = bell_weights(rho)
         np.testing.assert_allclose(werner_weights(f),
                                    [weights[k] for k in BELL_ORDER], rtol=0, atol=1e-15)
 
@@ -122,7 +121,7 @@ class TestFidelity:
             fidelity(big)
 
     @settings(max_examples=100)
-    @given(p=st.floats(0.0, 1.0), wa=bell_weights, wb=bell_weights)
+    @given(p=st.floats(0.0, 1.0), wa=weight_lists, wb=weight_lists)
     def test_linearity(self, p, wa, wb):
         a, b = bell_diagonal(wa), bell_diagonal(wb)
         mix = DensityMatrix(p * a.matrix + (1 - p) * b.matrix)
@@ -160,7 +159,7 @@ class TestTensorAndPartialTrace:
         np.testing.assert_allclose(stored_pair(rho), stored, atol=1e-13)
 
     @settings(max_examples=100, deadline=None)
-    @given(wa=bell_weights, wb=bell_weights)
+    @given(wa=weight_lists, wb=weight_lists)
     def test_roundtrip_random_bell_diagonal(self, wa, wb):
         a, b = bell_diagonal(wa), bell_diagonal(wb)
         back = stored_pair(six_qubit_state(b.matrix, b.matrix, a.matrix))
@@ -197,25 +196,23 @@ class TestPermute:
 
 class TestBellDecompose:
     def test_werner_08(self):
-        dec = bell_decompose(werner(0.8))
-        assert dec.weights["phi_plus"] == pytest.approx(0.8, abs=1e-14)
+        weights = bell_weights(werner(0.8))
+        assert weights["phi_plus"] == pytest.approx(0.8, abs=1e-14)
         for k in ("phi_minus", "psi_plus", "psi_minus"):
-            assert dec.weights[k] == pytest.approx(0.2 / 3, abs=1e-14)
-        assert dec.off_diagonal_norm == 0.0
+            assert weights[k] == pytest.approx(0.2 / 3, abs=1e-14)
+        assert _bell_off_diagonal(werner(0.8)) == 0.0
 
     def test_pure_target(self):
-        dec = bell_decompose(werner(1.0))
-        assert dec.weights["phi_plus"] == pytest.approx(1.0, abs=1e-14)
-        assert dec.off_diagonal_norm < 1e-15
+        assert bell_weights(werner(1.0))["phi_plus"] == pytest.approx(1.0, abs=1e-14)
+        assert _bell_off_diagonal(werner(1.0)) < 1e-15
 
     def test_reconstruction(self):
-        # the decomposition's matrix is the state in the Bell basis
+        # the oracle's Bell-basis matrix, rotated back, is the state
         basis = np.array([[1, 1, 0, 0], [0, 0, 1, 1],
                           [0, 0, 1, -1], [1, -1, 0, 0]]) / np.sqrt(2.0)
         rng = np.random.default_rng(3)
         rho = random_bell_diagonal(rng)
-        dec = bell_decompose(rho)
-        np.testing.assert_allclose(basis @ dec.matrix @ basis.T, rho.matrix,
+        np.testing.assert_allclose(basis @ bell_matrix(rho) @ basis.T, rho.matrix,
                                    atol=1e-12)
 
     def test_benchmark_call_ignores_labels(self):
@@ -226,8 +223,7 @@ class TestBellDecompose:
 
     def test_coherent_superposition_has_off_diagonal(self):
         # (|phi+> + |phi->)/sqrt(2) = |00>
-        dec = bell_decompose(computational_pair("00"))
-        assert dec.off_diagonal_norm == pytest.approx(0.5, abs=1e-14)
+        assert _bell_off_diagonal(computational_pair("00")) == pytest.approx(0.5, abs=1e-14)
 
 
 class TestValidation:
@@ -247,9 +243,15 @@ class TestValidation:
             DensityMatrix(m)
 
     def test_non_square_rejected(self):
-        for shape in ((4,), (4, 2), (2, 2, 2)):
+        for shape in ((4,), (4, 2), (2, 2, 2), (0, 0)):
             with pytest.raises(ShapeError):
                 DensityMatrix(np.full(shape, 0.25))
+
+    def test_any_memory_layout_accepted(self):
+        # a transposed or Fortran-ordered state is the same valid state
+        rho = np.array([[0.5, 0.1 - 0.2j], [0.1 + 0.2j, 0.5]])
+        for mat in (rho.T.conj(), np.asfortranarray(rho), werner(0.8).matrix.T):
+            np.testing.assert_array_equal(DensityMatrix(mat).matrix, mat)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("where", ["all", "diagonal", "off-diagonal"])
@@ -264,6 +266,28 @@ class TestValidation:
             m[0, 3] = m[3, 0] = bad
         with pytest.raises(StateValidationError, match="non-finite"):
             DensityMatrix(m)
+
+    # a Python int past the float range, in a list or an object array,
+    # whose conversion to complex raised a bare OverflowError
+    @pytest.mark.parametrize("entries", [
+        [[10**400, 0], [0, 0]],
+        [[1, 0], [0, -(2**1024)]],
+        np.array([[0, 10**400], [10**400, 1]], dtype=object),
+    ], ids=["list", "negative", "object-array"])
+    def test_int_past_float_range_rejected(self, entries):
+        with pytest.raises(StateValidationError, match="past the float range"):
+            DensityMatrix(entries)
+
+    # finite entries whose sums in the checks overflowed with a
+    # RuntimeWarning (trace 1e308 + 1e308); a state's entries are at most 1
+    @pytest.mark.parametrize("entries", [
+        [[1e308, 0.0], [0.0, 1e308]],
+        [[0.5, 1e308j], [-1e308j, 0.5]],
+        [[0.5, np.nextafter(states.MAX_ENTRY, 3.0)], [0.0, 0.5]],
+    ], ids=["diagonal", "imaginary", "past-bound"])
+    def test_entry_above_bound_rejected(self, entries):
+        with pytest.raises(StateValidationError, match="above 2$"):
+            DensityMatrix(entries)
 
     def test_matrix_is_immutable(self):
         rho = werner(0.8)

