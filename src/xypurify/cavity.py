@@ -29,6 +29,10 @@ error norm and step control of scipy's ``solve_ivp(method="DOP853")``
 written out operation for operation: it makes the same floating-point
 operations in the same order, so its steps and states equal
 ``solve_ivp``'s bit for bit, and the tests check that against scipy.
+Its scalars (the time, the step and the error norm) are Python floats,
+each norm taken as sqrt(x . x), which is what ``np.linalg.norm`` computes
+for a real 1-D array: IEEE arithmetic gives the same floats either way,
+with less per-step overhead than numpy scalars.
 It yields the accepted steps and stores none of them: only
 :func:`integrate_full` collects them, into a :class:`Trajectory`;
 :func:`xy_agreement` and :func:`convergence_study` keep only endpoints.
@@ -128,8 +132,18 @@ _DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
 _BLOCK_ROWS = 256  # rows _integrate starts with, and rows _row_max reduces at once
 
 
+# (s, c_s, a_s) of stages 1 to 11: the node as a Python float and the
+# stage row's first s entries, contiguous
+_DOP_STAGES = tuple((s, float(_DOP_C[s]), _DOP_A[s, :s].copy()) for s in range(1, 12))
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a real 1-D x as a Python float: it is sqrt(x . x)."""
+    return math.sqrt(x.dot(x))
+
+
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _norm(x) / x.size ** 0.5
 
 
 def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: float
@@ -144,6 +158,12 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
     operation, so the times and states are the same floats as its ``t``
     and the columns of its ``y``.  Raises :class:`StiffnessError` where it
     reports failure: the step falling below 10 ulp of t.
+
+    t, the step h, its size h_abs and the error norm are Python floats,
+    and so are the times handed to ``fun``: the stage nodes come from
+    ``_DOP_STAGES``, the ulp from ``math.nextafter``, and each norm is
+    ``math.sqrt(x.dot(x))``, the sum ``np.linalg.norm`` takes.  The
+    stage rows and the views k[:s].T are built once, not sliced per stage.
     """
     t, y = float(t_a), y0
     yield t, y
@@ -159,8 +179,11 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
     h_abs = min(100 * h0, h1, interval)
 
     k = np.empty((13, y.size))
+    # k[:s].T of each stage, then k[:12].T and k.T: views of k built once
+    stages = [(s, c, k[:s].T, a) for s, c, a in _DOP_STAGES]
+    k_b, k_e = k[:12].T, k.T
     while t < t_b:
-        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -173,16 +196,16 @@ def _dop853(fun, t_a: float, t_b: float, y0: np.ndarray, rtol: float, atol: floa
                 t_new = t_b
             h_abs = h = t_new - t
             k[0] = f
-            for s in range(1, 12):
-                k[s] = fun(t + _DOP_C[s] * h, y + np.dot(k[:s].T, _DOP_A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:12].T, _DOP_B)
+            for s, c, k_s, a in stages:
+                k[s] = fun(t + c * h, y + np.dot(k_s, a) * h)
+            y_new = y + h * np.dot(k_b, _DOP_B)
             k[12] = f_new = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             # the 5th-order estimate, damped where the 3rd-order one is larger
-            err5 = np.linalg.norm(np.dot(k.T, _DOP_E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(k.T, _DOP_E3) / scale) ** 2
+            err5 = _norm(np.dot(k_e, _DOP_E5) / scale) ** 2
+            err3 = _norm(np.dot(k_e, _DOP_E3) / scale) ** 2
             error_norm = (0.0 if err5 == 0 and err3 == 0 else
-                          h * err5 / np.sqrt((err5 + 0.01 * err3) * y.size))
+                          h * err5 / math.sqrt((err5 + 0.01 * err3) * y.size))
             # step factor 0.9 * error_norm^(-1/8) (error order 7), within [0.2, 10]
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
@@ -397,9 +420,19 @@ class Trajectory:
 
 
 def _check_initial(c: np.ndarray, n: int) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
+    try:
+        c = np.asarray(c, dtype=complex)
+    except OverflowError:
+        # a Python int past the float range; a float one is inf, below
+        raise DomainError("initial amplitudes have an entry past the float range") from None
     if c.shape != (n,):
         raise DomainError(f"initial amplitudes must have shape ({n},)")
+    # before the norm, whose squares overflow past ~1e154 with a warning; a
+    # normalized vector has no part above 1, and a nan fails the test too
+    peak = np.maximum(np.abs(c.real), np.abs(c.imag)).max()
+    if not peak <= 2.0:
+        raise DomainError(f"initial amplitudes must be normalized, got an entry part "
+                          f"of magnitude {peak:.3e}")
     nrm = np.linalg.norm(c)
     if not abs(nrm - 1.0) <= 1e-9:  # a nan norm fails too
         raise DomainError(f"initial amplitudes must be normalized, norm {nrm:.3e}")
@@ -671,7 +704,9 @@ def xy_agreement(geom: CavityGeometry, *,
     """
     if full is None:
         full = integrate_full(geom, _C4)
-    elif (full.amplitudes.shape[1] != 4 or not np.allclose(full.amplitudes[0], _C4)
+    elif (np.ndim(full.times) != 1 or len(full.times) < 2
+          or np.shape(full.amplitudes) != (len(full.times), 4)
+          or not np.allclose(full.amplitudes[0], _C4)
           or (full.times[0], full.times[-1]) != geom.window()):
         raise DomainError("full trajectory must be integrate_full(geom, (0, 1, 0, 0)) "
                           "over the geometry's window")
@@ -724,9 +759,15 @@ def convergence_study(geom: CavityGeometry,
     First-order elimination error means the distance should halve each
     time the detuning doubles.
     """
+    try:
+        # Python floats, whose product overflows to inf without numpy's
+        # RuntimeWarning; float() is exact on a numpy float
+        deltas = [geom.delta * float(fac) for fac in factors]
+    except OverflowError:
+        raise DomainError("a detuning factor is an int past the float range") from None
     out = []
     # every geometry is built, and so checked, before the first integration
-    for g in [replace(geom, delta=geom.delta * fac) for fac in factors]:
+    for g in [replace(geom, delta=delta) for delta in deltas]:
         full_atoms = _endpoint(_full_steps(g, _C4), 4)[1:]
         out.append((g.delta, distance_mod_phase(full_atoms, _mean_endpoint(g))))
     return out

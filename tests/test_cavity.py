@@ -23,6 +23,10 @@ from xypurify import (
 )
 from xypurify import cavity
 from xypurify.cavity import (
+    _DOP_A,
+    _DOP_C,
+    _DOP_STAGES,
+    Trajectory,
     _coupling_vector,
     _dop853,
     _effective_steps,
@@ -331,6 +335,45 @@ class TestFullIntegration:
         assert traj.amplitudes.dtype == np.complex128
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """_dop853 replaced by a stub that fails the test on any integration."""
+    def no_run(*args):
+        raise AssertionError("integrated an input that should be rejected up front")
+    monkeypatch.setattr(cavity, "_dop853", no_run)
+
+
+class TestRejectedBeforeAnyStep:
+    """Hostile inputs to the entry points that integrate."""
+
+    @pytest.mark.parametrize("initial", [
+        [10**400, 1, 0, 0],                        # an int past the float range
+        np.array([1e200, 1e200, 0.0, 0.0]),        # whose norm's squares overflow
+        np.array([0.0, 1.0, 0.0, complex(0.0, math.inf)])])
+    def test_integrate_full_initial(self, no_run, initial):
+        with pytest.raises(DomainError):
+            integrate_full(default_geom(), initial)
+
+    # the valid factor first: every geometry is checked before any run
+    @pytest.mark.parametrize("factor, error", [
+        (10**400, DomainError), (-10**400, DomainError),
+        (np.float64(1e307), GeometryError),        # numpy's product overflows with a warning
+        (math.inf, GeometryError), (math.nan, GeometryError)],
+        ids=["int 1e400", "int -1e400", "numpy 1e307", "inf", "nan"])
+    def test_convergence_study_factor(self, no_run, factor, error):
+        with pytest.raises(error):
+            convergence_study(default_geom(), (2.0, factor))
+
+    @pytest.mark.parametrize("times, amplitudes", [
+        (np.array([0.0]), np.zeros(4)),            # one-dimensional amplitudes
+        (np.array([]), np.zeros((0, 4))),          # no state at all
+        (np.array(0.0), np.zeros(4))])             # a zero-dimensional time
+    def test_xy_agreement_trajectory(self, no_run, times, amplitudes):
+        full = Trajectory(times=times, amplitudes=amplitudes, max_photon_population=0.0)
+        with pytest.raises(DomainError):
+            xy_agreement(default_geom(), full=full)
+
+
 def captured_rhs(monkeypatch, steps, geom, initial):
     """The right-hand side that ``steps`` hands to _dop853."""
     seen = []
@@ -525,29 +568,61 @@ class TestAgreement:
         assert distance_mod_phase(a, np.exp(1j * 0.7) * a) < 1e-12
 
 
+def spied_dop853(monkeypatch, integrate, geom, initial):
+    """integrate(geom, initial) and its one _dop853 call.
+
+    Returns the output, the call's arguments, its yielded steps and the
+    number of right-hand sides it evaluated.
+    """
+    calls = []
+
+    def spy(fun, *args):
+        nfev = 0
+
+        def counted(t, y):
+            nonlocal nfev
+            nfev += 1
+            return fun(t, y)
+
+        # every yielded state is a new array, so the list holds the steps
+        steps = list(_dop853(counted, *args))
+        calls.append(((fun, *args), steps, nfev))
+        return iter(steps)
+
+    monkeypatch.setattr(cavity, "_dop853", spy)
+    out = integrate(geom, initial)
+    [(args, steps, nfev)] = calls
+    return out, args, steps, nfev
+
+
+def solve_ivp_equal(args, steps, nfev):
+    """solve_ivp on _dop853's arguments, checked equal to its steps and work."""
+    fun, t_a, t_b, y0, rtol, atol = args
+    sol = solve_ivp(fun, (t_a, t_b), y0, method="DOP853", rtol=rtol, atol=atol)
+    assert sol.success
+    assert np.array_equal(np.array([t for t, _ in steps]), sol.t)
+    assert np.array_equal(np.array([y for _, y in steps]).T, sol.y)
+    assert nfev == sol.nfev
+    return sol
+
+
 class TestScipyReference:
     """The numpy integrator, quadrature and propagator against scipy's."""
 
-    @pytest.mark.parametrize("delta", [20.0, -20.0, 50.0, -50.0, 100.0, -100.0])
+    def test_stage_table_is_the_tableau(self):
+        assert [s for s, _, _ in _DOP_STAGES] == list(range(1, 12))
+        for s, c, a in _DOP_STAGES:
+            assert type(c) is float and c == _DOP_C[s]
+            assert a.flags.c_contiguous and np.array_equal(a, _DOP_A[s, :s])
+
+    # at |delta| = 1 the couplings, not the detuning, set the step count
+    @pytest.mark.parametrize("delta", [1.0, -1.0, 20.0, -20.0, 50.0, -50.0, 100.0, -100.0])
     @pytest.mark.parametrize("integrate, initial", [(integrate_full, C4),
                                                     (effective_endpoint, C3)])
     def test_dop853_steps_equal_solve_ivp(self, monkeypatch, integrate, initial, delta):
-        calls = []
-
-        def spy(*args):
-            # every yielded state is a new array, so the list holds the steps
-            calls.append((args, list(_dop853(*args))))
-            return iter(calls[-1][1])
-
-        monkeypatch.setattr(cavity, "_dop853", spy)
-        out = integrate(default_geom(delta=delta), initial)
-        [((fun, t_a, t_b, y0, rtol, atol), steps)] = calls
-        times = np.array([t for t, _ in steps])
-        states = np.array([y for _, y in steps]).T
-        sol = solve_ivp(fun, (t_a, t_b), y0, method="DOP853", rtol=rtol, atol=atol)
-        assert sol.success
-        assert np.array_equal(times, sol.t)
-        assert np.array_equal(states, sol.y)
+        out, args, steps, nfev = spied_dop853(monkeypatch, integrate,
+                                              default_geom(delta=delta), initial)
+        sol = solve_ivp_equal(args, steps, nfev)
         n = len(initial)
         if integrate is integrate_full:
             # the collector stores them unchanged
@@ -558,6 +633,13 @@ class TestScipyReference:
             # the endpoint keeps the last one unchanged
             assert np.array_equal(out.real, sol.y[:n, -1])
             assert np.array_equal(out.imag, sol.y[n:, -1])
+
+    def test_rejected_steps_equal_solve_ivp(self, monkeypatch):
+        # the initial step takes 2 right-hand sides and each tried step 12;
+        # at delta = 50 about 3 steps are rejected and tried again smaller
+        _, args, steps, nfev = spied_dop853(monkeypatch, integrate_full, default_geom(), C4)
+        assert nfev > 12 * (len(steps) - 1) + 2
+        solve_ivp_equal(args, steps, nfev)
 
     def test_blow_up_raises_where_solve_ivp_fails(self):
         # y' = y^2, y(0) = 1 reaches infinity at t = 1
