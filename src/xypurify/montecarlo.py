@@ -10,14 +10,19 @@ failure branch by thinning the success probability.
 
 Each attempt evaluates the scalar pump map
 :func:`xypurify.rounds.closed_form_general` at the current stored
-fidelity.  The analytic mean :func:`expected_attempts` walks the same
+fidelity; the pump trajectory does not depend on the draws, so a
+schedule precomputed once per config could replace these calls.  Each
+attempt takes the next uniform of its trial's stream; the uniforms are
+drawn from that stream in blocks, the same doubles as one draw per
+attempt.  The analytic mean :func:`expected_attempts` walks the same
 map through the shared iterator of :mod:`xypurify.pumping`.
 :func:`simulate_batch` keeps each trial's outcome as a few numbers in
 flat arrays and holds one :class:`ProtocolStats` at a time.
 
 Reproducibility: every trial draws from its own generator seeded by
 (seed, trial index), so results are independent of scheduling and
-worker count.
+worker count.  A seed is a 64-bit integer, in [-2**63, 2**64); a
+negative seed shares its stream with its unsigned twin, seed + 2**64.
 """
 from __future__ import annotations
 
@@ -40,6 +45,8 @@ RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
 MESSAGES_PER_ATTEMPT = 2
 MAX_EXPECTED_ATTEMPTS = 10**6    # bound on a config's mean attempts per trial
 MAX_TRIALS = 10**6               # bound on a batch's trials, checked before any draw
+# uniforms per Generator.random call; a benchmark trial takes about 49
+_DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,12 @@ class ProtocolConfig:
         if not 0.0 <= self.p_inconclusive < 1.0:
             raise ConfigurationError(
                 f"p_inconclusive must lie in [0, 1), got {self.p_inconclusive}")
+        # a seed is 64-bit, signed or unsigned: _trial_rng would wrap a
+        # wider int onto an in-range seed's stream; a bool is not a seed
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or not -2**63 <= int(self.seed) < 2**64):
+            raise ConfigurationError(
+                f"seed must be an integer in [-2**63, 2**64), got {self.seed!r}")
         for name in ("gate_time", "restore_extra_time", "message_latency"):
             value = getattr(self, name)
             # nan fails too, and so does an int past the float range
@@ -152,14 +165,37 @@ class ProtocolStats:
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # counter-based stream: the pair (seed, trial) fully determines it;
-    # negative 64-bit seeds are mapped to their unsigned representation
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
+    # negative 64-bit seeds are mapped to their unsigned representation;
+    # int() first, as a signed numpy int cannot take the 64-bit mask
+    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, trial])
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s uniforms one at a time, drawn ``_DRAW_BLOCK`` at a time.
+
+    ``Generator.random(n)`` returns the doubles of n successive scalar
+    calls, so this yields exactly what one ``rng.random()`` per attempt
+    would.
+    """
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
 
 
 def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
-    """Execute one protocol run."""
-    rng = _trial_rng(config.seed, trial)
-    f_current = config.f
+    """Execute one protocol run.
+
+    Attempt k compares the k-th uniform of the trial's stream with its
+    thinned success probability; the uniforms come in blocks of
+    ``_DRAW_BLOCK`` from that one stream.  Each attempt evaluates
+    :func:`xypurify.rounds.closed_form_general` at the current stored
+    fidelity.
+    """
+    uniform = _uniforms(_trial_rng(config.seed, trial)).__next__
+    f = f_current = config.f
+    target_rounds, target_fidelity = config.target_rounds, config.target_fidelity
+    keep = 1.0 - config.p_inconclusive
+    gate, restore = config.gate_time, config.restore_extra_time
+    messages = MESSAGES_PER_ATTEMPT * config.message_latency
 
     history = [f_current]
     attempts_per_round: list[int] = []
@@ -167,18 +203,14 @@ def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
     elapsed = 0.0
     attempts_this_round = 0
 
-    def done() -> bool:
-        if config.target_rounds is not None:
-            return successes >= config.target_rounds
-        return f_current >= config.target_fidelity
-
-    while not done():
-        step = closed_form_general(config.f, f_current)
+    while (successes < target_rounds if target_rounds is not None
+           else f_current < target_fidelity):
+        step = closed_form_general(f, f_current)
         attempts += 1
         attempts_this_round += 1
-        elapsed += config.gate_time
-        elapsed += MESSAGES_PER_ATTEMPT * config.message_latency
-        if rng.random() < step.success_probability * (1.0 - config.p_inconclusive):
+        elapsed += gate
+        elapsed += messages
+        if uniform() < step.success_probability * keep:
             f_current = step.fidelity
             successes += 1
             history.append(f_current)
@@ -186,7 +218,7 @@ def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
             attempts_this_round = 0
         else:
             # restoration: stored state unchanged, extra dwell time
-            elapsed += config.restore_extra_time
+            elapsed += restore
 
     return ProtocolStats(
         rounds_attempted=attempts,

@@ -229,12 +229,13 @@ def closed_form_general(f: float, f_prime: float) -> RoundFormulas:
     therefore never vanishes on the domain and needs no singularity
     check.
     """
-    for name, val in (("f", f), ("f_prime", f_prime)):
-        if not 0.0 <= val <= 1.0:
-            raise DomainError(f"{name} must lie in [0,1], got {val}")
+    # one test on the hot path; nan fails it too
+    if not (0.0 <= f <= 1.0 and 0.0 <= f_prime <= 1.0):
+        name, val = ("f", f) if not 0.0 <= f <= 1.0 else ("f_prime", f_prime)
+        raise DomainError(f"{name} must lie in [0,1], got {val}")
     num = f_prime * (12.0 * f + 236.0 * f * f - 5.0) - 16.0 * (f - 1.0)
     den = 59.0 + (12.0 - 64.0 * f_prime) * f - 4.0 * (5.0 - 64.0 * f_prime) * f * f
-    return RoundFormulas(fidelity=num / den, success_probability=den / 972.0)
+    return RoundFormulas(num / den, den / 972.0)
 
 
 # Bell-weight round map at t0 = T, times 2916 = 3 * 972: M(f) =

@@ -517,10 +517,13 @@ class TestMonteCarloCommand:
         {"target_rounds": 2.5},
         {"target_rounds": False},
         {"seed": 1.5},
+        {"seed": 2**64 + 1},
+        {"seed": -(2**63) - 1},
         {"p_inconclusive": [0.1]},
         {"schema_version": True},
     ], ids=["f-string", "f-null", "trials-float", "trials-bool",
             "target_rounds-float", "target_rounds-bool", "seed-float",
+            "seed-above-64-bits", "seed-below-64-bits",
             "p_inconclusive-list", "schema_version-bool"])
     def test_wrong_json_types_exit_2(self, runner, tmp_path, overrides):
         path = self.make_config(tmp_path, **overrides)

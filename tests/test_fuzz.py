@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from xypurify import (
     BelowThresholdWarning,
     CavityGeometry,
+    ConfigurationError,
     DensityMatrix,
+    ProtocolConfig,
     XyPurifyError,
     asymptotic_hamiltonian,
     bell_diagonal_map,
@@ -28,6 +30,7 @@ from xypurify import (
     fixed_point,
     operational_time,
     pump,
+    simulate_batch,
     solve_geometry,
     werner_weights,
 )
@@ -117,6 +120,28 @@ def test_cavity_geometry(ell, d, v, delta):
         finite_or_rejected(lambda: (geom.window(), geom.j_effective, geom.t_prime,
                                     geom.mean_coupling, geom.g_trapped))
         finite_or_rejected(lambda: asymptotic_hamiltonian(geom))
+
+
+# a seed is a 64-bit integer, signed or unsigned; these sit on and past
+# both ends, with the bools and numpy forms
+SEED_EDGES = (-(2**63), -(2**63) - 1, 2**64 - 1, 2**64, 2**64 + 1, -(2**64) - 1,
+              True, False, np.int64(-1), np.uint64(2**64 - 1))
+SEEDS = st.one_of(st.integers(-(2**64) - 2, 2**64 + 2), st.sampled_from(SEED_EDGES),
+                  NUMBERS)
+
+
+@QUICK
+@given(seed=SEEDS)
+def test_protocol_seed(seed):
+    in_range = (not isinstance(seed, bool) and isinstance(seed, (int, np.integer))
+                and -(2**63) <= int(seed) < 2**64)
+    try:
+        cfg = ProtocolConfig(f=0.75, target_rounds=1, seed=seed)
+    except ConfigurationError as err:
+        assert not in_range and "seed" in str(err), (seed, err)
+        return
+    assert in_range, seed
+    finite_or_rejected(lambda: simulate_batch(cfg, 3))
 
 
 def arg(x) -> str:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from xypurify.montecarlo import (
     GATE_TIME_DEFAULT,
     MAX_EXPECTED_ATTEMPTS,
     MAX_TRIALS,
+    MESSAGES_PER_ATTEMPT,
     RESTORE_EXTRA_DEFAULT,
+    ProtocolStats,
+    _trial_rng,
 )
 from xypurify.pumping import MAX_ROUNDS
 
@@ -168,10 +172,94 @@ class TestSingleRun:
         assert slow.total_time == pytest.approx(
             base.total_time + 0.5 * 2 * slow.rounds_attempted, abs=1e-9)
 
+    def test_negative_seed_shares_its_unsigned_twin_stream(self):
+        # numpy forms too: _trial_rng masks a signed numpy seed as a Python int
+        for twin in (2**64 - 1, np.int64(-1), np.uint64(2**64 - 1)):
+            for trial in (0, 9):
+                assert run_protocol(config(seed=twin), trial) == run_protocol(
+                    config(seed=-1), trial)
+
     def test_target_fidelity_stopping(self):
         stats = run_protocol(config(target_rounds=None, target_fidelity=0.86))
         assert stats.final_fidelity >= 0.86
         assert stats.rounds_succeeded == 2  # pump map needs two successes
+
+
+def reference_run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
+    """The plain loop: one ``rng.random()`` per attempt, the config read in place."""
+    rng = _trial_rng(config.seed, trial)
+    f_current = config.f
+
+    history = [f_current]
+    attempts_per_round: list[int] = []
+    attempts = successes = 0
+    elapsed = 0.0
+    attempts_this_round = 0
+
+    def done() -> bool:
+        if config.target_rounds is not None:
+            return successes >= config.target_rounds
+        return f_current >= config.target_fidelity
+
+    while not done():
+        step = closed_form_general(config.f, f_current)
+        attempts += 1
+        attempts_this_round += 1
+        elapsed += config.gate_time
+        elapsed += MESSAGES_PER_ATTEMPT * config.message_latency
+        if rng.random() < step.success_probability * (1.0 - config.p_inconclusive):
+            f_current = step.fidelity
+            successes += 1
+            history.append(f_current)
+            attempts_per_round.append(attempts_this_round)
+            attempts_this_round = 0
+        else:
+            # restoration: stored state unchanged, extra dwell time
+            elapsed += config.restore_extra_time
+
+    return ProtocolStats(
+        rounds_attempted=attempts,
+        rounds_succeeded=successes,
+        total_time=elapsed,
+        final_fidelity=f_current,
+        fidelity_history=tuple(history),
+        attempts_per_round=tuple(attempts_per_round),
+    )
+
+
+class TestReferenceLoop:
+    # seven rounds near the fixed point with half the readouts inconclusive:
+    # about a hundred attempts per trial, many past one and two blocks
+    SEVEN_ROUNDS = pump(0.75, 7).rounds[-1].fidelity
+    CONFIGS = [
+        dict(f=0.75, target_rounds=4, seed=1234),
+        dict(f=0.75, target_rounds=3, p_inconclusive=0.3, message_latency=0.37,
+             gate_time=0.41, restore_extra_time=2.3, seed=-7),
+        dict(f=0.8, target_fidelity=0.9172, p_inconclusive=0.3, message_latency=0.37,
+             seed=11),
+        dict(f=0.75, target_fidelity=SEVEN_ROUNDS, p_inconclusive=0.5, seed=-2**63),
+        dict(f=0.62, target_fidelity=0.7, gate_time=0.0, restore_extra_time=0.0,
+             seed=2**64 - 1),
+    ]
+
+    def test_same_stats_as_one_draw_per_attempt(self):
+        longest = 0
+        for kwargs in self.CONFIGS:
+            cfg = ProtocolConfig(**kwargs)
+            for trial in range(50):
+                stats = run_protocol(cfg, trial)
+                # dataclass equality: every float compared exactly
+                assert stats == reference_run_protocol(cfg, trial), (kwargs, trial)
+                longest = max(longest, stats.rounds_attempted)
+        assert longest > 2 * montecarlo._DRAW_BLOCK
+
+    @pytest.mark.parametrize("seed", [-5, 2**63])
+    def test_uniforms_are_successive_scalar_draws(self, seed):
+        n = 200
+        assert n > 3 * montecarlo._DRAW_BLOCK
+        blocks = montecarlo._uniforms(_trial_rng(seed, 3))
+        scalar = _trial_rng(seed, 3)
+        assert list(islice(blocks, n)) == [scalar.random() for _ in range(n)]
 
 
 class TestBatch:

@@ -135,6 +135,22 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             closed_form_general(0.5, -0.1)
 
+    @pytest.mark.parametrize("f, f_prime, message", [
+        (1.5, 0.5, "f must lie in [0,1], got 1.5"),
+        (0.5, -0.1, "f_prime must lie in [0,1], got -0.1"),
+        (-1.0, 2.0, "f must lie in [0,1], got -1.0"),
+        (np.nan, 0.5, "f must lie in [0,1], got nan"),
+        (0.5, np.float64(np.nan), "f_prime must lie in [0,1], got nan"),
+        (10**400, 0.5, f"f must lie in [0,1], got {10**400}"),
+        (0.5, -(10**400), f"f_prime must lie in [0,1], got {-(10**400)}"),
+    ], ids=["f", "f_prime", "both", "f-nan", "f_prime-nan", "f-int-past-float",
+            "f_prime-int-past-float"])
+    def test_domain_error_names_the_argument(self, f, f_prime, message):
+        # the first argument out of [0,1] is the one named
+        with pytest.raises(DomainError) as err:
+            closed_form_general(f, f_prime)
+        assert str(err.value) == message
+
     def test_next_round_improves(self):
         first = closed_form_general(0.75, 0.75).fidelity
         second = closed_form_general(0.75, first).fidelity
