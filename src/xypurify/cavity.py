@@ -673,7 +673,6 @@ class AgreementReport:
     max_photon_population: float
     photon_population_bound: float     # 4 (g_max / delta)^2
     commutator_ratio: float            # max |[M(t1), M(t2)]| / max |M|^2
-    c12_numeric: float
     t_prime: float
     adiabatic: bool
 
@@ -731,7 +730,6 @@ def xy_agreement(geom: CavityGeometry, *,
     norm_max = np.linalg.norm(mats, 2, axis=(1, 2)).max()
     comm_max = np.linalg.norm(comms, 2, axis=(1, 2)).max()
 
-    couplings = asymptotic_hamiltonian(geom)
     gmax = peak_collective_coupling(geom)
     return AgreementReport(
         distance_full_mean=distance_mod_phase(full_atoms, mean_end),
@@ -741,7 +739,6 @@ def xy_agreement(geom: CavityGeometry, *,
         max_photon_population=full.max_photon_population,
         photon_population_bound=4.0 * (gmax / geom.delta) ** 2,
         commutator_ratio=float(comm_max / norm_max ** 2),
-        c12_numeric=float(couplings.c_matrix[0, 1]),
         t_prime=tp,
         adiabatic=geom.adiabatic,
     )

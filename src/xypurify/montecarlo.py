@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from itertools import islice, zip_longest
 from typing import Iterable, Iterator, NamedTuple
@@ -45,18 +44,48 @@ RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
 MESSAGES_PER_ATTEMPT = 2
 MAX_EXPECTED_ATTEMPTS = 10**6    # bound on a config's mean attempts per trial
 MAX_TRIALS = 10**6               # bound on a batch's trials, checked before any draw
+MAX_TIME = 1e50
+"""Bound on each of ``gate_time``, ``restore_extra_time`` and ``message_latency``.
+
+It keeps every time a batch computes finite.  An attempt adds at most
+g + 2 l + r <= 4e50 to its trial's time (gate g, latency l, restore r).
+A trial makes its attempts one loop iteration at a time, fewer than 1e30
+even at 1e9 a second for 1e18 s (the universe is 4.4e17 s old), so its
+time is below 4e80.  The batch mean sums at most ``MAX_TRIALS`` = 1e6
+such times, below 4e86; ``time_halfwidth`` sums 1e6 squared deviations
+of at most 4e80, below 1.6e167, against a float maximum of ~1.8e308.
+"""
 # uniforms per Generator.random call; a benchmark trial takes about 49
 _DRAW_BLOCK = 64
+_TIMES = ("gate_time", "restore_extra_time", "message_latency")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a Python float, if it is a finite number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                         np.floating)):
+        raise ConfigurationError(f"config key {name!r} must be a number, got {value!r}")
+    try:
+        x = float(value)  # exact on a numpy float
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigurationError(
+            f"config key {name!r} must be a finite number, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Stopping rule, noise knob and bookkeeping constants for one run.
 
-    Exactly one of ``target_rounds`` / ``target_fidelity`` must be set.
-    ``p_inconclusive`` is the probability that the non-destructive
-    readout returns no verdict; such attempts are discarded and handled
-    like failures.  Times are in units of 1/J.
+    Every field is checked here, before any draw, and the six float
+    fields are stored as Python floats; the ``montecarlo`` command checks
+    only its JSON's schema version and key names.  Exactly one of
+    ``target_rounds`` / ``target_fidelity`` must be set.  ``p_inconclusive``
+    is the probability that the non-destructive readout returns no
+    verdict; such attempts are discarded and handled like failures.
+    Times are in units of 1/J, each at most ``MAX_TIME``.
     """
 
     f: float
@@ -69,6 +98,9 @@ class ProtocolConfig:
     message_latency: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("f", "target_fidelity", "p_inconclusive", *_TIMES):
+            if name != "target_fidelity" or self.target_fidelity is not None:
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.5 < self.f <= 1.0:
             raise ConfigurationError(
                 f"fresh-pair fidelity must lie in (0.5, 1], got {self.f}")
@@ -84,12 +116,10 @@ class ProtocolConfig:
                 or not -2**63 <= int(self.seed) < 2**64):
             raise ConfigurationError(
                 f"seed must be an integer in [-2**63, 2**64), got {self.seed!r}")
-        for name in ("gate_time", "restore_extra_time", "message_latency"):
-            value = getattr(self, name)
-            # nan fails too, and so does an int past the float range
-            if not 0.0 <= value <= sys.float_info.max:
-                raise ConfigurationError(
-                    f"{name} must be finite and nonnegative, got {value}")
+        for name in _TIMES:
+            if not 0.0 <= (value := getattr(self, name)) <= MAX_TIME:
+                raise ConfigurationError(f"{name} must be nonnegative and at most the "
+                                         f"bound of {MAX_TIME:g}, got {value}")
         if self.target_rounds is not None:
             _check_count("target_rounds", self.target_rounds, ConfigurationError)
             # every round takes at least one attempt on average
@@ -334,5 +364,5 @@ def simulate_batch(config: ProtocolConfig, trials: int,
 def expected_attempts(f: float, target_rounds: int,
                       p_inconclusive: float = 0.0) -> float:
     """Analytic mean attempt count: sum of geometric means per round."""
-    ProtocolConfig(f=f, target_rounds=target_rounds, p_inconclusive=p_inconclusive)
-    return _expected_total(islice(_werner_rounds(f), target_rounds), p_inconclusive)
+    cfg = ProtocolConfig(f=f, target_rounds=target_rounds, p_inconclusive=p_inconclusive)
+    return _expected_total(islice(_werner_rounds(cfg.f), target_rounds), cfg.p_inconclusive)

@@ -556,6 +556,19 @@ class TestMonteCarloCommand:
         assert err["error"] == "ConfigurationError"
         assert f"config key {key!r} must be a finite number" in err["message"]
 
+    @pytest.mark.parametrize("value", [1e308, 1e160])
+    @pytest.mark.parametrize("key", ["gate_time", "restore_extra_time", "message_latency"])
+    def test_time_past_bound_exit_2(self, runner, tmp_path, key, value):
+        # finite, but a trial's time or its square would overflow: rejected
+        # before any draw, where mean_time used to read null
+        path = self.make_config(tmp_path, **{key: value})
+        result = runner.invoke(main, ["montecarlo", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigurationError"
+        assert f"{key} must be nonnegative and at most the bound of 1e+50" in err["message"]
+
     @pytest.mark.parametrize("literal", [str(MAX_TRIALS + 1), "1" + "0" * 400],
                              ids=["above-bound", "400-digits"])
     def test_oversized_trials_exit_2(self, runner, tmp_path, literal):

@@ -144,6 +144,36 @@ def test_protocol_seed(seed):
     finite_or_rejected(lambda: simulate_batch(cfg, 3))
 
 
+# two valid configs, one per stopping rule, and hostile values for up to
+# three of their fields: the numbers above, bools, a numeric string, None
+# and a list
+STOPPING = (dict(target_rounds=3, target_fidelity=None),
+            dict(target_rounds=None, target_fidelity=0.86))
+VALID_CONFIG = dict(f=0.75, p_inconclusive=0.3, seed=1, gate_time=0.41,
+                    restore_extra_time=2.3, message_latency=0.37)
+NOT_NUMBERS = (True, False, np.bool_(True), "0.75", None, [0.1])
+HOSTILE = st.one_of(COUNTS, st.sampled_from(NOT_NUMBERS))
+REAL_FIELDS = ("f", "target_fidelity", "p_inconclusive", "gate_time",
+               "restore_extra_time", "message_latency")
+
+
+@QUICK
+@given(stopping=st.sampled_from(STOPPING),
+       fields=st.dictionaries(
+           st.sampled_from([f.name for f in dataclasses.fields(ProtocolConfig)]),
+           HOSTILE, max_size=3))
+def test_protocol_config(stopping, fields):
+    # a TypeError or a warning fails the test; an accepted config holds
+    # Python floats and runs to finite statistics
+    try:
+        cfg = ProtocolConfig(**{**VALID_CONFIG, **stopping, **fields})
+    except ConfigurationError:
+        return
+    assert all(type(getattr(cfg, name)) is float for name in REAL_FIELDS
+               if getattr(cfg, name) is not None), cfg
+    finite_or_rejected(lambda: simulate_batch(cfg, 2))
+
+
 def arg(x) -> str:
     """A command-line argument as a user would type it: repr of a float."""
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 from itertools import islice
 
@@ -20,6 +21,7 @@ from xypurify import montecarlo
 from xypurify.montecarlo import (
     GATE_TIME_DEFAULT,
     MAX_EXPECTED_ATTEMPTS,
+    MAX_TIME,
     MAX_TRIALS,
     MESSAGES_PER_ATTEMPT,
     RESTORE_EXTRA_DEFAULT,
@@ -27,6 +29,11 @@ from xypurify.montecarlo import (
     _trial_rng,
 )
 from xypurify.pumping import MAX_ROUNDS
+
+
+REAL_FIELDS = ("f", "target_fidelity", "p_inconclusive", "gate_time",
+               "restore_extra_time", "message_latency")
+TIMES = ("gate_time", "restore_extra_time", "message_latency")
 
 
 def config(**kw):
@@ -111,6 +118,51 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=name):
             config(**{name: value})
         config(**{name: 0.0})
+
+    @pytest.mark.parametrize("value", [1e308, 1e160, math.nextafter(MAX_TIME, math.inf)],
+                             ids=["1e308", "1e160", "above-bound"])
+    @pytest.mark.parametrize("name", TIMES)
+    def test_times_bounded(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be nonnegative"):
+            config(**{name: value})
+
+    def test_times_at_bound_keep_every_time_finite(self):
+        # the proof of MAX_TIME: totals, mean and squared deviations finite,
+        # and no overflow warning
+        cfg = config(**{name: MAX_TIME for name in TIMES})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = simulate_batch(cfg, 400)
+        assert math.isfinite(batch.mean_time) and batch.mean_time > MAX_TIME
+        assert math.isfinite(batch.time_halfwidth) and batch.time_halfwidth > 0
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.75", None, [0.1]],
+                             ids=["true", "false", "numpy-bool", "string", "none", "list"])
+    @pytest.mark.parametrize("name", REAL_FIELDS)
+    def test_float_fields_must_be_numbers(self, name, value):
+        if name == "target_fidelity":
+            if value is None:
+                config(target_fidelity=None)    # the other stopping rule
+                return
+            kwargs = {"target_rounds": None, name: value}
+        else:
+            kwargs = {name: value}
+        with pytest.raises(ConfigurationError, match=f"config key '{name}' must be a number"):
+            config(**kwargs)
+        if name in ("f", "p_inconclusive"):
+            # expected_attempts checks its arguments through ProtocolConfig
+            with pytest.raises(ConfigurationError, match=f"config key '{name}'"):
+                expected_attempts(**{"f": 0.75, "target_rounds": 3, name: value})
+
+    def test_float_fields_stored_as_python_floats(self):
+        numpy_fields = dict(f=np.float64(0.75), target_fidelity=np.float64(0.86),
+                            p_inconclusive=np.float32(0.25), gate_time=np.int64(1),
+                            restore_extra_time=np.float64(2.3), message_latency=1)
+        cfg = ProtocolConfig(seed=5, **numpy_fields)
+        assert all(type(getattr(cfg, name)) is float for name in REAL_FIELDS)
+        plain = ProtocolConfig(seed=5, **{k: float(v) for k, v in numpy_fields.items()})
+        assert cfg == plain
+        assert run_protocol(cfg, 3) == run_protocol(plain, 3)
 
     def test_threshold_fidelity_rejected(self):
         with pytest.raises(ConfigurationError):
