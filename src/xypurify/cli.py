@@ -113,6 +113,8 @@ def cmd_round(f: float, fprime: float, jt0: float | None, at_t: bool,
     """Simulate one purification round and compare to the closed forms."""
     if (jt0 is None) == (not at_t):
         raise click.UsageError("specify exactly one of --jt0 / --at-T")
+    if n_index and not at_t:
+        raise click.UsageError("--n sets the operational time; it needs --at-T")
     if at_t:
         jt0 = rounds.operational_time(1.0, n_index).t
     stationary = werner(fprime)
@@ -304,10 +306,9 @@ def cmd_montecarlo(config_path: str, trials_csv: str | None, workers: int,
         "mean_final_fidelity": batch.mean_final_fidelity,
         "attempts_by_round": list(batch.attempts_by_round),
         "successes_by_round": list(batch.successes_by_round),
+        # the sum the config's attempts bound computed: one walk of the map
         "expected_attempts_analytic": (
-            montecarlo.expected_attempts(config.f, config.target_rounds,
-                                         config.p_inconclusive)
-            if config.target_rounds is not None else None),
+            config._mean_attempts if config.target_rounds is not None else None),
     }
     _emit_json(payload, output)
     if trials_csv:

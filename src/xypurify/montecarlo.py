@@ -10,12 +10,14 @@ failure branch by thinning the success probability.
 
 Each attempt evaluates the scalar pump map
 :func:`xypurify.rounds.closed_form_general` at the current stored
-fidelity; the pump trajectory does not depend on the draws, so a
-schedule precomputed once per config could replace these calls.  Each
-attempt takes the next uniform of its trial's stream; the uniforms are
-drawn from that stream in blocks, the same doubles as one draw per
-attempt.  The analytic mean :func:`expected_attempts` walks the same
-map through the shared iterator of :mod:`xypurify.pumping`.
+fidelity and unpacks the (F, P) tuple it returns; the pump trajectory
+does not depend on the draws, so a schedule precomputed once per config
+could replace these calls.  Each attempt takes the next uniform of its
+trial's stream; the uniforms are drawn from that stream in blocks, the
+same doubles as one draw per attempt.  :class:`ProtocolConfig` walks the
+same map once, through the shared iterator of :mod:`xypurify.pumping`,
+for its attempts bound, and keeps the sum: the analytic mean
+:func:`expected_attempts`.
 :func:`simulate_batch` keeps each trial's outcome as a few numbers in
 flat arrays and holds one :class:`ProtocolStats` at a time.
 
@@ -137,7 +139,10 @@ class ProtocolConfig:
                     f"the pump map for f = {self.f} is bounded by the fixed "
                     f"point {limit:.12g}")
             rounds = _rounds_to(self.f, self.target_fidelity, limit)
-        _expected_total(rounds, self.p_inconclusive)
+        # not a field: fields() lists the CLI's config keys, and repr and
+        # equality stay those of the fields
+        object.__setattr__(self, "_mean_attempts",
+                           _expected_total(rounds, self.p_inconclusive))
 
 
 def _rounds_to(f: float, target: float, limit: float) -> Iterator[tuple[float, float]]:
@@ -230,22 +235,21 @@ def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
     history = [f_current]
     attempts_per_round: list[int] = []
     attempts = successes = 0
+    last = 0               # the attempt count at the last success
     elapsed = 0.0
-    attempts_this_round = 0
 
     while (successes < target_rounds if target_rounds is not None
            else f_current < target_fidelity):
-        step = closed_form_general(f, f_current)
+        fid, p = closed_form_general(f, f_current)
         attempts += 1
-        attempts_this_round += 1
-        elapsed += gate
-        elapsed += messages
-        if uniform() < step.success_probability * keep:
-            f_current = step.fidelity
+        # (elapsed + gate) + messages: the two roundings of two +=
+        elapsed = elapsed + gate + messages
+        if uniform() < p * keep:
+            f_current = fid
             successes += 1
             history.append(f_current)
-            attempts_per_round.append(attempts_this_round)
-            attempts_this_round = 0
+            attempts_per_round.append(attempts - last)
+            last = attempts
         else:
             # restoration: stored state unchanged, extra dwell time
             elapsed += restore
@@ -363,6 +367,9 @@ def simulate_batch(config: ProtocolConfig, trials: int,
 
 def expected_attempts(f: float, target_rounds: int,
                       p_inconclusive: float = 0.0) -> float:
-    """Analytic mean attempt count: sum of geometric means per round."""
-    cfg = ProtocolConfig(f=f, target_rounds=target_rounds, p_inconclusive=p_inconclusive)
-    return _expected_total(islice(_werner_rounds(cfg.f), target_rounds), cfg.p_inconclusive)
+    """Analytic mean attempt count: sum of geometric means per round.
+
+    The sum that :class:`ProtocolConfig`'s attempts bound computes.
+    """
+    return ProtocolConfig(f=f, target_rounds=target_rounds,
+                          p_inconclusive=p_inconclusive)._mean_attempts

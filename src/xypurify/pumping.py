@@ -105,9 +105,8 @@ def _werner_rounds(f: float) -> Iterator[tuple[float, float]]:
     """(F_k, P_k) for k = 1, 2, ... on the scalar recurrence from F_0 = f."""
     current = f
     while True:
-        step = closed_form_general(f, current)
-        current = step.fidelity
-        yield current, step.success_probability
+        current, p = closed_form_general(f, current)
+        yield current, p
 
 
 def _bell_rounds(transfer: np.ndarray, f: float) -> Iterator[tuple[float, float]]:

@@ -22,9 +22,10 @@ where the ring propagator is the identity (:mod:`xypurify.xy`);
 :mod:`xypurify.montecarlo` charges that dwell time, and the tests pin
 the restoration on random six-qubit states.
 
-Both closed forms return a :class:`RoundFormulas` record:
-:func:`closed_form_at` at any time t0 for pairs of one fidelity f, and
-:func:`closed_form_general` at the operational time for fidelities f, f'.
+Both closed forms return a :class:`RoundFormulas` named tuple
+(fidelity, success probability): :func:`closed_form_at` at any time t0
+for pairs of one fidelity f, and :func:`closed_form_general` at the
+operational time for fidelities f, f'.
 
 Outcome convention
 ------------------
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,9 +174,12 @@ def _cosines(t0: float) -> tuple[float, float]:
     return math.cos(6.0 * t0), math.cos(12.0 * t0)
 
 
-@dataclass(frozen=True)
-class RoundFormulas:
-    """Closed forms of one round: output fidelity and single-outcome success."""
+class RoundFormulas(NamedTuple):
+    """Closed forms of one round: output fidelity and single-outcome success.
+
+    A named tuple, built with ``tuple.__new__``, because the Monte Carlo
+    makes one per attempt.
+    """
 
     fidelity: float
     success_probability: float
@@ -216,7 +221,7 @@ def closed_form_at(t0: float, f: float) -> RoundFormulas:
         - 16.0 * (1.0 - 5.0 * f + 4.0 * f * f) * c6
         + 4.0 * (2.0 * f + 8.0 * f * f - 1.0) * c12
     ) / 972.0
-    return RoundFormulas(fidelity=num / den, success_probability=success)
+    return tuple.__new__(RoundFormulas, (num / den, success))
 
 
 def closed_form_general(f: float, f_prime: float) -> RoundFormulas:
@@ -235,7 +240,7 @@ def closed_form_general(f: float, f_prime: float) -> RoundFormulas:
         raise DomainError(f"{name} must lie in [0,1], got {val}")
     num = f_prime * (12.0 * f + 236.0 * f * f - 5.0) - 16.0 * (f - 1.0)
     den = 59.0 + (12.0 - 64.0 * f_prime) * f - 4.0 * (5.0 - 64.0 * f_prime) * f * f
-    return RoundFormulas(num / den, den / 972.0)
+    return tuple.__new__(RoundFormulas, (num / den, den / 972.0))
 
 
 # Bell-weight round map at t0 = T, times 2916 = 3 * 972: M(f) =

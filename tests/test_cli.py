@@ -1,11 +1,12 @@
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from xypurify import cavity, cli, pump, werner
+from xypurify import cavity, cli, montecarlo, pump, werner
 from xypurify.cli import main
 from xypurify.montecarlo import MAX_TRIALS
 
@@ -70,6 +71,20 @@ class TestRoundCommand:
     def test_mutually_exclusive_time_flags(self, runner):
         result = runner.invoke(main, ["round", "--f", "0.75", "--fprime", "0.75"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("n", ["3", "-1"])
+    def test_index_without_operational_time_exit_2(self, runner, n):
+        # --n picks the operational time, so --jt0 would drop it
+        result = runner.invoke(main, ["round", "--f", "0.8", "--fprime", "0.7",
+                                      "--jt0", "0.4", "--n", n])
+        assert result.exit_code == 2, result.output
+        assert "--at-T" in result.output
+
+    def test_index_zero_with_jt0_unchanged(self, runner):
+        # --n 0 is the default, so it asks for nothing --jt0 drops
+        args = ["round", "--f", "0.8", "--fprime", "0.7", "--jt0", "0.4"]
+        assert (run_ok(runner, args + ["--n", "0"]).stdout
+                == run_ok(runner, args).stdout)
 
     def test_csv_format(self, runner):
         result = run_ok(runner, ["round", "--f", "0.75", "--fprime", "0.75",
@@ -589,6 +604,19 @@ class TestMonteCarloCommand:
         assert result.exit_code == 2, result.output
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"] == "ConfigurationError"
+
+    def test_one_walk_of_the_pump_map(self, runner, tmp_path, monkeypatch):
+        # the config's attempts bound and expected_attempts_analytic share
+        # one walk of the map
+        walks = []
+        original = montecarlo._werner_rounds
+        monkeypatch.setattr(montecarlo, "_werner_rounds",
+                            lambda f: walks.append(f) or original(f))
+        path = self.make_config(tmp_path, trials=20)
+        payload = json.loads(run_ok(runner, ["montecarlo", "--config", str(path)]).stdout)
+        assert walks == [0.75]
+        assert payload["expected_attempts_analytic"] == montecarlo._expected_total(
+            islice(original(0.75), 3), 0.0)
 
     def test_single_trial_output_is_strict_json(self, runner, tmp_path):
         # one trial has no halfwidth; JSON has no NaN literal, so it is null

@@ -75,6 +75,14 @@ def numbers_in(obj):
         yield obj
 
 
+def test_numbers_in_reaches_the_round_record():
+    # the record is a named tuple, not a dataclass: the tuple branch walks it
+    record = closed_form_general(0.75, 0.8)
+    assert not dataclasses.is_dataclass(record)
+    assert list(numbers_in(record)) == [record.fidelity, record.success_probability]
+    assert list(numbers_in(closed_form_at(0.3, 0.7))) == list(closed_form_at(0.3, 0.7))
+
+
 def finite_or_rejected(call):
     """call()'s result, with every number in it finite; None if call() rejected."""
     try:

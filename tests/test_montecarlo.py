@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -94,6 +95,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError) as err:
             ProtocolConfig(f=0.75, target_rounds=4, p_inconclusive=0.999999, seed=1)
         assert f"at least {1.0 / (p_first * (1.0 - 0.999999)):.0f} attempts" in str(err.value)
+
+    def test_mean_attempts_kept_outside_the_fields(self):
+        # the attempts bound's sum is kept, but fields(), the CLI's list of
+        # config keys, repr and equality see only the eight fields
+        cfg = config()
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "f", "target_rounds", "target_fidelity", "p_inconclusive", "seed",
+            *TIMES]
+        assert "_mean_attempts" not in repr(cfg)
+        assert cfg._mean_attempts == montecarlo._expected_total(
+            islice(montecarlo._werner_rounds(0.75), 4), 0.0)
+        assert cfg == config()
+
+    def test_expected_attempts_walks_the_map_once(self, monkeypatch):
+        walks = []
+        original = montecarlo._werner_rounds
+        monkeypatch.setattr(montecarlo, "_werner_rounds",
+                            lambda f: walks.append(f) or original(f))
+        total = expected_attempts(0.75, 5, 0.25)
+        assert walks == [0.75]
+        assert total == montecarlo._expected_total(islice(original(0.75), 5), 0.25)
 
     def test_reachable_target_accepted(self):
         ProtocolConfig(f=0.75, target_fidelity=0.86, seed=1)

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -155,6 +156,30 @@ class TestClosedForms:
         first = closed_form_general(0.75, 0.75).fidelity
         second = closed_form_general(0.75, first).fidelity
         assert second > first > 0.75
+
+
+class TestRoundFormulas:
+    GRID = [k / 20 for k in range(21)]
+    TIMES = [k * np.pi / 40 for k in range(-8, 25)]
+
+    def records(self):
+        yield from (closed_form_general(f, fp) for f in self.GRID for fp in self.GRID)
+        yield from (closed_form_at(t, f) for t in self.TIMES for f in self.GRID)
+
+    def test_unpacks_into_two_python_floats(self):
+        for record in self.records():
+            assert type(record) is rounds.RoundFormulas
+            fid, p = record
+            assert (fid, p) == (record.fidelity, record.success_probability)
+            assert type(fid) is float and type(p) is float
+
+    def test_values_pinned_on_a_grid(self):
+        # sha256 of every float.hex on the grid, taken while the record was
+        # a frozen dataclass: the named tuple carries the same bits
+        text = " ".join(float.hex(x) for record in self.records() for x in record)
+        assert len(text.split()) == 2 * (21 * 21 + 33 * 21)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8b484cda9bb4eb40c902228c0f8a4425e9477fcabde9239aab329de9f0e5c158")
 
 
 class TestOperationalTime:
