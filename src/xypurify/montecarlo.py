@@ -19,12 +19,13 @@ same map once, through the shared iterator of :mod:`xypurify.pumping`,
 for its attempts bound, and keeps the sum: the analytic mean
 :func:`expected_attempts`.
 :func:`simulate_batch` keeps each trial's outcome as a few numbers in
-flat arrays and holds one :class:`ProtocolStats` at a time.
+flat arrays and builds no :class:`ProtocolStats`.
 
-Reproducibility: every trial draws from its own generator seeded by
-(seed, trial index), so results are independent of scheduling and
-worker count.  A seed is a 64-bit integer, in [-2**63, 2**64); a
-negative seed shares its stream with its unsigned twin, seed + 2**64.
+Reproducibility: every trial draws from its own stream, numpy's
+``default_rng([seed, trial index])`` reseeded in place (:func:`_streams`),
+so results are independent of scheduling and worker count.  A seed is a
+64-bit integer, in [-2**63, 2**64); a negative seed shares its stream
+with its unsigned twin, seed + 2**64.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import islice, zip_longest
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,11 @@ GATE_TIME_DEFAULT = math.pi / 6.0          # units of 1/J, one gate at n = 0
 RESTORE_EXTRA_DEFAULT = math.pi - math.pi / 6.0  # pi/J minus the gate time
 MESSAGES_PER_ATTEMPT = 2
 MAX_EXPECTED_ATTEMPTS = 10**6    # bound on a config's mean attempts per trial
-MAX_TRIALS = 10**6               # bound on a batch's trials, checked before any draw
+MAX_TRIALS = 10**6
+"""Bound on a batch's trials, checked before any draw.
+
+A trial index is below 1e6 < 2**32 ~ 4.29e9, so numpy makes it one 32-bit
+entropy word: the one word that :func:`_streams` reserves for it."""
 MAX_TIME = 1e50
 """Bound on each of ``gate_time``, ``restore_extra_time`` and ``message_latency``.
 
@@ -59,6 +64,11 @@ of at most 4e80, below 1.6e167, against a float maximum of ~1.8e308.
 """
 # uniforms per Generator.random call; a benchmark trial takes about 49
 _DRAW_BLOCK = 64
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645    # PCG_DEFAULT_MULTIPLIER_128
+# generate_state's (xor, multiplier) per 32-bit word: INIT_B * MULT_B**i
+_STATE_KEYS = tuple((0x8B51F9DD * 0x58F38DED**i & _MASK32,
+                     0x8B51F9DD * 0x58F38DED**(i + 1) & _MASK32) for i in range(8))
 _TIMES = ("gate_time", "restore_extra_time", "message_latency")
 
 
@@ -112,7 +122,7 @@ class ProtocolConfig:
         if not 0.0 <= self.p_inconclusive < 1.0:
             raise ConfigurationError(
                 f"p_inconclusive must lie in [0, 1), got {self.p_inconclusive}")
-        # a seed is 64-bit, signed or unsigned: _trial_rng would wrap a
+        # a seed is 64-bit, signed or unsigned: _streams would wrap a
         # wider int onto an in-range seed's stream; a bool is not a seed
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or not -2**63 <= int(self.seed) < 2**64):
@@ -198,11 +208,35 @@ class ProtocolStats:
     attempts_per_round: tuple[int, ...]
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # counter-based stream: the pair (seed, trial) fully determines it;
-    # negative 64-bit seeds are mapped to their unsigned representation;
-    # int() first, as a signed numpy int cannot take the 64-bit mask
-    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, trial])
+def _streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """``at(trial)``: one generator, reseeded to ``default_rng([seed, trial])``.
+
+    numpy's entropy for that list is the masked seed's 32-bit words (two
+    from 2**32 on, low first) and the trial's one word.  ``at`` takes
+    ``SeedSequence``'s pool of it, hashes the pool as ``generate_state(4,
+    np.uint64)`` does and seeds ``PCG64`` as its constructor does (NEP 19).
+    """
+    from numpy.random import PCG64, Generator, SeedSequence
+    seed = int(seed) & _MASK64     # int() first: a numpy int cannot take the mask
+    entropy = np.array([seed & _MASK32, seed >> 32, 0] if seed >> 32 else [seed, 0],
+                       dtype=np.uint32)
+    rng, pcg = Generator(PCG64(0)), {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    def at(trial: int) -> np.random.Generator:
+        entropy[-1] = trial
+        pool = SeedSequence(entropy).pool.tolist()
+        w = [(x := (p ^ k) * m & _MASK32) ^ x >> 16
+             for p, (k, m) in zip(pool * 2, _STATE_KEYS)]
+        # uint64 words w1:w0 .. w7:w6; 128-bit seed (hi, lo) and stream
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        pcg["inc"] = inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+        # pcg_setseq_128_srandom_r: state = 0, step, += initstate, step
+        pcg["state"] = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = state
+        return rng
+
+    return at
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -216,16 +250,15 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
         yield from rng.random(_DRAW_BLOCK).tolist()
 
 
-def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
-    """Execute one protocol run.
+def _trial(config: ProtocolConfig,
+           rng: np.random.Generator) -> tuple[int, float, list[float], list[int]]:
+    """One trial's attempts, total time, fidelity history and attempts per round.
 
-    Attempt k compares the k-th uniform of the trial's stream with its
-    thinned success probability; the uniforms come in blocks of
-    ``_DRAW_BLOCK`` from that one stream.  Each attempt evaluates
-    :func:`xypurify.rounds.closed_form_general` at the current stored
-    fidelity.
+    Attempt k compares the k-th uniform of ``rng`` with its thinned
+    success probability, and evaluates
+    :func:`xypurify.rounds.closed_form_general` at the stored fidelity.
     """
-    uniform = _uniforms(_trial_rng(config.seed, trial)).__next__
+    uniform = _uniforms(rng).__next__
     f = f_current = config.f
     target_rounds, target_fidelity = config.target_rounds, config.target_fidelity
     keep = 1.0 - config.p_inconclusive
@@ -253,14 +286,23 @@ def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
         else:
             # restoration: stored state unchanged, extra dwell time
             elapsed += restore
+    return attempts, elapsed, history, attempts_per_round
 
+
+def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
+    """Execute one protocol run: trial ``trial`` of a batch, in [0, ``MAX_TRIALS``)."""
+    if (isinstance(trial, bool) or not isinstance(trial, (int, np.integer))
+            or not 0 <= trial < MAX_TRIALS):
+        raise ConfigurationError(
+            f"trial must be an integer in [0, {MAX_TRIALS}), got {trial!r}")
+    attempts, elapsed, history, per_round = _trial(config, _streams(config.seed)(trial))
     return ProtocolStats(
         rounds_attempted=attempts,
-        rounds_succeeded=successes,
+        rounds_succeeded=len(per_round),
         total_time=elapsed,
-        final_fidelity=f_current,
+        final_fidelity=history[-1],
         fidelity_history=tuple(history),
-        attempts_per_round=tuple(attempts_per_round),
+        attempts_per_round=tuple(per_round),
     )
 
 
@@ -290,16 +332,15 @@ class _Chunk(NamedTuple):
 
 
 def _run_chunk(config: ProtocolConfig, trials: range) -> _Chunk:
-    """Run ``trials``, keeping their numbers and one ``ProtocolStats`` at a time."""
+    """Run ``trials`` on one reseeded generator, keeping a few numbers of each."""
+    at = _streams(config.seed)
     attempts, times, finals = (np.empty(len(trials)) for _ in range(3))
     attempts_by_round: list[int] = []
     successes_by_round: list[int] = []
     for i, trial in enumerate(trials):
-        stats = run_protocol(config, trial)
-        attempts[i] = stats.rounds_attempted
-        times[i] = stats.total_time
-        finals[i] = stats.final_fidelity
-        for k, n_att in enumerate(stats.attempts_per_round):
+        attempts[i], times[i], history, per_round = _trial(config, at(trial))
+        finals[i] = history[-1]
+        for k, n_att in enumerate(per_round):
             if k == len(attempts_by_round):
                 attempts_by_round.append(0)
                 successes_by_round.append(0)

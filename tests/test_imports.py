@@ -15,7 +15,9 @@ import pytest
 import xypurify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy", "concurrent.futures.process")
+# numpy.random: a montecarlo run imports it when it draws, so that no
+# other command pays its ~11 ms import
+HEAVY = ("scipy", "concurrent.futures.process", "numpy.random")
 CAVITY_NAMES = (
     "AgreementReport", "AsymptoticCouplings",
     "CavityGeometry", "Trajectory", "asymptotic_hamiltonian",

@@ -2,11 +2,12 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
-import weakref
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xypurify import (
     ConfigurationError,
@@ -27,9 +28,15 @@ from xypurify.montecarlo import (
     MESSAGES_PER_ATTEMPT,
     RESTORE_EXTRA_DEFAULT,
     ProtocolStats,
-    _trial_rng,
 )
 from xypurify.pumping import MAX_ROUNDS
+
+MASK64 = 2**64 - 1
+
+
+def numpy_stream(seed, trial: int) -> np.random.Generator:
+    """numpy's own generator for (seed, trial), a negative seed masked to 64 bits."""
+    return np.random.default_rng([int(seed) & MASK64, trial])
 
 
 REAL_FIELDS = ("f", "target_fidelity", "p_inconclusive", "gate_time",
@@ -247,7 +254,7 @@ class TestSingleRun:
             base.total_time + 0.5 * 2 * slow.rounds_attempted, abs=1e-9)
 
     def test_negative_seed_shares_its_unsigned_twin_stream(self):
-        # numpy forms too: _trial_rng masks a signed numpy seed as a Python int
+        # numpy forms too: _streams masks a signed numpy seed as a Python int
         for twin in (2**64 - 1, np.int64(-1), np.uint64(2**64 - 1)):
             for trial in (0, 9):
                 assert run_protocol(config(seed=twin), trial) == run_protocol(
@@ -261,7 +268,7 @@ class TestSingleRun:
 
 def reference_run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
     """The plain loop: one ``rng.random()`` per attempt, the config read in place."""
-    rng = _trial_rng(config.seed, trial)
+    rng = numpy_stream(config.seed, trial)
     f_current = config.f
 
     history = [f_current]
@@ -331,9 +338,35 @@ class TestReferenceLoop:
     def test_uniforms_are_successive_scalar_draws(self, seed):
         n = 200
         assert n > 3 * montecarlo._DRAW_BLOCK
-        blocks = montecarlo._uniforms(_trial_rng(seed, 3))
-        scalar = _trial_rng(seed, 3)
+        blocks = montecarlo._uniforms(numpy_stream(seed, 3))
+        scalar = numpy_stream(seed, 3)
         assert list(islice(blocks, n)) == [scalar.random() for _ in range(n)]
+
+
+class TestStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(-2**63, 2**64 - 1),
+           trials=st.lists(st.integers(0, MAX_TRIALS - 1), max_size=4))
+    @example(seed=0, trials=[])
+    @example(seed=2**32 - 1, trials=[])
+    @example(seed=2**32, trials=[])
+    @example(seed=2**64 - 1, trials=[])
+    def test_same_doubles_as_numpy_default_rng(self, seed, trials):
+        # one _streams object, trials out of order and revisited; a seed
+        # from 2**32 on is two entropy words
+        n = 2 * montecarlo._DRAW_BLOCK + 1
+        at = montecarlo._streams(seed)
+        for trial in (MAX_TRIALS - 1, *trials, 0, MAX_TRIALS - 1):
+            assert at(trial).random(n).tolist() == numpy_stream(seed, trial).random(n).tolist()
+
+    def test_trial_index_is_one_entropy_word(self):
+        # the proof beside MAX_TRIALS: every trial index fits one uint32 word
+        assert MAX_TRIALS <= 2**32
+        for trial in (-1, MAX_TRIALS, 2**32, 1.0, True):
+            with pytest.raises(ConfigurationError, match="trial must be an integer"):
+                run_protocol(config(), trial)
+        assert run_protocol(config(), np.int64(MAX_TRIALS - 1)) == run_protocol(
+            config(), MAX_TRIALS - 1)
 
 
 class TestBatch:
@@ -346,20 +379,17 @@ class TestBatch:
         assert one.attempts_by_round == many.attempts_by_round
 
     def test_keeps_no_per_trial_results(self, monkeypatch):
-        refs, calls, alive_at_call = [], [], []
-        original = montecarlo.run_protocol
+        # a batch builds no ProtocolStats, in this process or in a pool
+        # process (forked with the patch), and yet runs run_protocol's trials
+        cfg = config(seed=8)
+        expect = tuple(run_protocol(cfg, t).rounds_attempted for t in range(500))
 
-        def tracked(config, trial=0):
-            calls.append(trial)
-            alive_at_call.append(sum(ref() is not None for ref in refs))
-            result = original(config, trial)
-            refs.append(weakref.ref(result))
-            return result
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("simulate_batch built a ProtocolStats")
 
-        monkeypatch.setattr(montecarlo, "run_protocol", tracked)
-        simulate_batch(config(seed=8), 500)
-        assert calls == list(range(500))
-        assert max(alive_at_call) <= 1
+        monkeypatch.setattr(ProtocolStats, "__init__", refuse)
+        for workers in (1, 2):
+            assert simulate_batch(cfg, 500, workers=workers).attempts_per_trial == expect
 
     def test_pool_sized_to_chunks(self, monkeypatch):
         import concurrent.futures
