@@ -32,9 +32,7 @@ from .errors import (
 from .montecarlo import (
     BatchStats,
     ProtocolConfig,
-    ProtocolStats,
     expected_attempts,
-    run_protocol,
     simulate_batch,
 )
 from .pumping import (
@@ -64,7 +62,6 @@ from .states import (
     werner_weights,
 )
 from .xy import (
-    EvolutionOperator,
     evolve_triplet,
 )
 

@@ -18,8 +18,9 @@ same doubles as one draw per attempt.  :class:`ProtocolConfig` walks the
 same map once, through the shared iterator of :mod:`xypurify.pumping`,
 for its attempts bound, and keeps the sum: the analytic mean
 :func:`expected_attempts`.
-:func:`simulate_batch` keeps each trial's outcome as a few numbers in
-flat arrays and builds no :class:`ProtocolStats`.
+:func:`simulate_batch` is the one runner of trials: it keeps each
+trial's outcome as a few numbers in flat arrays, not as a record per
+trial.
 
 Reproducibility: every trial draws from its own stream, numpy's
 ``default_rng([seed, trial index])`` reseeded in place (:func:`_streams`),
@@ -158,9 +159,9 @@ class ProtocolConfig:
 def _rounds_to(f: float, target: float, limit: float) -> Iterator[tuple[float, float]]:
     """(F_k, P_k) of the rounds a trial needs to reach ``target``.
 
-    Raises once ``MAX_ROUNDS`` rounds fall short: the recurrence
-    ``run_protocol`` follows settles in floating point a few ulps from
-    the closed-form fixed point ``limit``, and can settle below it.
+    Raises once ``MAX_ROUNDS`` rounds fall short: the recurrence a
+    trial follows settles in floating point a few ulps from the
+    closed-form fixed point ``limit``, and can settle below it.
     """
     if f >= target:
         return
@@ -188,24 +189,6 @@ def _expected_total(rounds: Iterable[tuple[float, float]], p_inconclusive: float
                 f"a trial needs at least {total:.0f} attempts on average, "
                 f"above the bound of {MAX_EXPECTED_ATTEMPTS}")
     return total
-
-
-@dataclass(frozen=True)
-class ProtocolStats:
-    """Outcome of a single protocol run.
-
-    Resources follow from ``rounds_attempted``: each attempt conveys one
-    atomic pair per node, consumes the two shared entangled pairs those
-    atoms carry, and exchanges ``MESSAGES_PER_ATTEMPT`` classical
-    messages.
-    """
-
-    rounds_attempted: int
-    rounds_succeeded: int
-    total_time: float
-    final_fidelity: float
-    fidelity_history: tuple[float, ...]
-    attempts_per_round: tuple[int, ...]
 
 
 def _streams(seed: int) -> Callable[[int], np.random.Generator]:
@@ -289,23 +272,6 @@ def _trial(config: ProtocolConfig,
     return attempts, elapsed, history, attempts_per_round
 
 
-def run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
-    """Execute one protocol run: trial ``trial`` of a batch, in [0, ``MAX_TRIALS``)."""
-    if (isinstance(trial, bool) or not isinstance(trial, (int, np.integer))
-            or not 0 <= trial < MAX_TRIALS):
-        raise ConfigurationError(
-            f"trial must be an integer in [0, {MAX_TRIALS}), got {trial!r}")
-    attempts, elapsed, history, per_round = _trial(config, _streams(config.seed)(trial))
-    return ProtocolStats(
-        rounds_attempted=attempts,
-        rounds_succeeded=len(per_round),
-        total_time=elapsed,
-        final_fidelity=history[-1],
-        fidelity_history=tuple(history),
-        attempts_per_round=tuple(per_round),
-    )
-
-
 @dataclass(frozen=True)
 class BatchStats:
     """Aggregate over independent trials of the same configuration."""
@@ -324,9 +290,9 @@ class BatchStats:
 class _Chunk(NamedTuple):
     """Outcomes of consecutive trials, in trial order."""
 
-    attempts: np.ndarray        # rounds_attempted of each trial
-    times: np.ndarray           # total_time of each trial
-    finals: np.ndarray          # final_fidelity of each trial
+    attempts: np.ndarray        # attempts of each trial
+    times: np.ndarray           # total time of each trial
+    finals: np.ndarray          # final fidelity of each trial
     attempts_by_round: list[int]
     successes_by_round: list[int]
 

@@ -7,7 +7,7 @@ constant tolerances below.  Intermediates inside a computation (the
 six-qubit product and its evolution in :func:`xypurify.rounds.run_round`)
 are plain arrays and are not validated: they are Kronecker products of
 validated states under the Kronecker square of a triplet propagator
-whose 8x8 factor :class:`xypurify.xy.EvolutionOperator` checks.
+that is unitary by construction (:func:`xypurify.xy.evolve_triplet`).
 
 The rest is the Bell/Werner constructors and the Bell basis used
 throughout the purification analysis.  :func:`werner_weights` is the one

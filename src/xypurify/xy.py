@@ -15,25 +15,30 @@ restorable.  The single-excitation block then has eigenvalues
 {4J, -2J, -2J}.  A ring of coupling J evolved for t is the unit ring
 evolved for J t, a negative J included.
 
-:func:`evolve_triplet` is the one propagator, for one triplet; a round's
-two triplets evolve under its Kronecker square, which
-:func:`xypurify.rounds.run_round` builds (and the docstring there shows
-why that needs no check of its own).
+H has the integer spectrum {-2, 0, 4}, so its spectral projectors are
+polynomials in H (Lagrange interpolation on the three eigenvalues).  24
+times the projectors on -2, 0 and 4 are the integer matrices
+
+    A = 2 H (H - 4),   B = -3 (H + 2)(H - 4),   C = (H + 2) H,
+
+built once here in ints.  :func:`evolve_triplet`, the one propagator,
+for one triplet, is exp(-i H t) = (e^{2it} A + B + e^{-4it} C) / 24.  At J t = m pi both phases are 1 and it is (A + B + C) / 24 =
+I, the identity, up to the rounding of t itself.  A round's two triplets
+evolve under its Kronecker square, which :func:`xypurify.rounds.run_round`
+builds (and the docstring there shows why it is unitary to a few ulp).
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-UNITARITY_TOL = 1e-11
 
 
 def _op_on(op: np.ndarray, site: int) -> np.ndarray:
@@ -52,45 +57,32 @@ def _xy_unit() -> np.ndarray:
     return h
 
 
+def _projectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, B, C: 24 times the projectors of H on -2, 0 and 4, in ints."""
+    h = h.real.astype(int)      # entries 0 and 2, exact
+    eye = np.eye(8, dtype=int)
+    return 2 * h @ (h - 4 * eye), -3 * (h + 2 * eye) @ (h - 4 * eye), (h + 2 * eye) @ h
+
+
 _XY_UNIT = _xy_unit()
-# its eigendecomposition, computed once per process and read-only like H
-_XY_W, _XY_V = np.linalg.eigh(_XY_UNIT)
-_XY_V_H = _XY_V.conj().T
-_XY_PHASE_MAX = float(np.abs(_XY_W).max())  # 4.0, the largest |eigenvalue|
-for _array in (_XY_UNIT, _XY_W, _XY_V, _XY_V_H):
+_XY_A, _XY_B, _XY_C = _projectors(_XY_UNIT)
+for _array in (_XY_UNIT, _XY_A, _XY_B, _XY_C):
     _array.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class EvolutionOperator:
-    """Unitary propagator for a fixed evolution time."""
+def evolve_triplet(t: float) -> np.ndarray:
+    """exp(-i H t) for one triplet, t in 1/J: (e^{2it} A + B + e^{-4it} C) / 24.
 
-    matrix: np.ndarray = field(repr=False)
+    A plain 8x8 complex array.  The phases are of 2 t and 4 t, exact
+    multiples of t, so the error of an entry does not grow with t.
 
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"propagator must be square, got {m.shape}")
-        # before the product, in which an inf entry warns (inf * 0)
-        if not np.isfinite(m).all():
-            raise ShapeError("propagator not unitary: non-finite entries")
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if not dev <= UNITARITY_TOL:
-            raise ShapeError(f"propagator not unitary: deviation {dev:.3e}")
-        m.setflags(write=False)
-
-
-def evolve_triplet(t: float) -> EvolutionOperator:
-    """exp(-i H t) for one triplet via Hermitian eigendecomposition, t in 1/J.
-
-    Raises :class:`DomainError` unless the largest phase |w| t is finite,
+    Raises :class:`DomainError` unless the largest phase 4 |t| is finite,
     which rejects a non-finite t and a finite one whose phase overflows.
     The float-range bound comes first, so that ``float`` takes any int;
     the phase is then a Python float, which overflows to inf without
     numpy's RuntimeWarning for a numpy float t.
     """
-    if not (abs(t) <= sys.float_info.max and math.isfinite(float(t) * _XY_PHASE_MAX)):
+    if not (abs(t) <= sys.float_info.max and math.isfinite(float(t) * 4.0)):
         raise DomainError(f"evolution phase must be finite, got t={t}")
     t = float(t)
-    u = (_XY_V * np.exp(-1j * _XY_W * t)) @ _XY_V_H
-    return EvolutionOperator(u)
+    return (cmath.exp(2j * t) * _XY_A + _XY_B + cmath.exp(-4j * t) * _XY_C) / 24.0

@@ -5,8 +5,10 @@ round fixes every pairing by position: conveyed pairs on slots (1, 4)
 and (2, 5), the stored pair on (3, 6).  Here the three pairs are joined
 with ``np.kron`` in the order (1, 4, 2, 5, 3, 6) and moved to slot order
 1..6 by an explicit transpose, not by ``run_round``'s ``einsum``.
-:func:`ring_pair` is the two triplets' propagator, and :func:`restore`
-completes a partial ring evolution to a full period.
+:func:`ring_pair` is the two triplets' propagator, ``scipy.linalg.expm``
+of a ring Hamiltonian built here from Pauli Kronecker products, not the
+package's ``evolve_triplet``; :func:`restore` completes a partial ring
+evolution to a full period.
 
 :func:`bell_matrix` and :func:`bell_weights` give a two-qubit state in
 the Bell basis, from the Bell vectors written out here.
@@ -19,15 +21,31 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from xypurify import (
     DensityMatrix,
     DomainError,
     ZeroProbabilityError,
-    evolve_triplet,
     fidelity,
 )
 from xypurify.states import BELL_ORDER
+
+_I2 = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def _kron(*ops):
+    out = np.array([[1.0 + 0j]])
+    for op in ops:
+        out = np.kron(out, op)
+    return out
+
+
+# H of one triplet in units J = 1: XX + YY on each bond of the ring
+RING_H = sum(_kron(*(pauli if k in bond else _I2 for k in range(3)))
+             for bond in ((0, 1), (1, 2), (0, 2)) for pauli in (_X, _Y))
 
 # position of slots 1..6 in the Kronecker order (1, 4, 2, 5, 3, 6)
 KRON_TO_SLOTS = (0, 2, 4, 1, 3, 5)
@@ -49,7 +67,7 @@ def six_qubit_state(p14, p25, p36):
 
 def ring_pair(t):
     """Propagator of the triplets (1, 2, 3) and (4, 5, 6), both evolved for t."""
-    u3 = evolve_triplet(t).matrix
+    u3 = scipy.linalg.expm(-1j * t * RING_H)
     return np.kron(u3, u3)
 
 
@@ -108,17 +126,8 @@ def bell_weights(rho):
 
 # --- the four-qubit CNOT baseline round ---------------------------------
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 U_PLUS = (_I2 + 1j * _X) / np.sqrt(2.0)
 U_MINUS = (_I2 - 1j * _X) / np.sqrt(2.0)
-
-
-def _kron(*ops):
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
 
 
 def _cnot(n, control, target):

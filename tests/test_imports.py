@@ -32,7 +32,7 @@ PUBLIC_API = (
     "BelowThresholdWarning", "CavityGeometry",
     "ComparisonRow", "ConfigurationError",
     "DensityMatrix", "DomainError",
-    "EvolutionOperator", "GeometryError", "OperationalTime", "ProtocolConfig", "ProtocolStats", "PumpRound",
+    "GeometryError", "OperationalTime", "ProtocolConfig", "PumpRound",
     "PumpTrace", "RoundFormulas", "RoundInput", "RoundResult",
     "ShapeError", "StateValidationError", "StiffnessError",
     "Trajectory", "XyPurifyError",
@@ -44,7 +44,7 @@ PUBLIC_API = (
     "evolve_triplet", "expected_attempts", "fidelity",
     "fixed_point", "integrate_full", "montecarlo",
     "operational_time", "pump", "pumping",
-    "random_bell_diagonal", "rounds", "run_protocol",
+    "random_bell_diagonal", "rounds",
     "run_round", "simulate_batch",
     "solve_geometry", "states", "werner", "werner_weights", "xy", "xy_agreement",
 )

@@ -16,7 +16,6 @@ from xypurify import (
     expected_attempts,
     fixed_point,
     pump,
-    run_protocol,
     simulate_batch,
 )
 from xypurify import montecarlo
@@ -27,7 +26,6 @@ from xypurify.montecarlo import (
     MAX_TRIALS,
     MESSAGES_PER_ATTEMPT,
     RESTORE_EXTRA_DEFAULT,
-    ProtocolStats,
 )
 from xypurify.pumping import MAX_ROUNDS
 
@@ -37,6 +35,26 @@ MASK64 = 2**64 - 1
 def numpy_stream(seed, trial: int) -> np.random.Generator:
     """numpy's own generator for (seed, trial), a negative seed masked to 64 bits."""
     return np.random.default_rng([int(seed) & MASK64, trial])
+
+
+@dataclasses.dataclass(frozen=True)
+class TrialStats:
+    """One trial's outcome, every field compared exactly by equality."""
+
+    rounds_attempted: int
+    rounds_succeeded: int
+    total_time: float
+    final_fidelity: float
+    fidelity_history: tuple[float, ...]
+    attempts_per_round: tuple[int, ...]
+
+
+def chunk_trial(config: ProtocolConfig, trial: int = 0) -> TrialStats:
+    """Trial ``trial`` as a batch chunk runs it: its reseeded stream into ``_trial``."""
+    attempts, elapsed, history, per_round = montecarlo._trial(
+        config, montecarlo._streams(config.seed)(trial))
+    return TrialStats(attempts, len(per_round), elapsed, history[-1], tuple(history),
+                      tuple(per_round))
 
 
 REAL_FIELDS = ("f", "target_fidelity", "p_inconclusive", "gate_time",
@@ -191,7 +209,7 @@ class TestConfigValidation:
         assert all(type(getattr(cfg, name)) is float for name in REAL_FIELDS)
         plain = ProtocolConfig(seed=5, **{k: float(v) for k, v in numpy_fields.items()})
         assert cfg == plain
-        assert run_protocol(cfg, 3) == run_protocol(plain, 3)
+        assert chunk_trial(cfg, 3) == chunk_trial(plain, 3)
 
     def test_threshold_fidelity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -209,7 +227,7 @@ class TestConfigValidation:
 
     def test_numpy_integer_counts_accepted(self):
         cfg = ProtocolConfig(f=0.75, target_rounds=np.int64(3), seed=1)
-        assert run_protocol(cfg).rounds_succeeded == 3
+        assert chunk_trial(cfg).rounds_succeeded == 3
         assert simulate_batch(cfg, np.int32(4), workers=np.int64(1)).trials == 4
         assert expected_attempts(0.75, np.int64(4)) == expected_attempts(0.75, 4)
 
@@ -227,17 +245,17 @@ class TestConfigValidation:
 
 class TestSingleRun:
     def test_deterministic_under_seed(self):
-        a = run_protocol(config())
-        b = run_protocol(config())
+        a = chunk_trial(config())
+        b = chunk_trial(config())
         assert a == b
 
     def test_history_follows_pump_map(self):
-        stats = run_protocol(config(target_rounds=5))
+        stats = chunk_trial(config(target_rounds=5))
         expect = [0.75] + [r.fidelity for r in pump(0.75, 5).rounds]
         np.testing.assert_allclose(stats.fidelity_history, expect, atol=1e-12)
 
     def test_resource_accounting(self):
-        stats = run_protocol(config())
+        stats = chunk_trial(config())
         assert stats.rounds_succeeded == 4
         failures = stats.rounds_attempted - stats.rounds_succeeded
         expect_time = (stats.rounds_attempted * GATE_TIME_DEFAULT
@@ -246,8 +264,8 @@ class TestSingleRun:
         assert sum(stats.attempts_per_round) == stats.rounds_attempted
 
     def test_latency_adds_to_time(self):
-        base = run_protocol(config())
-        slow = run_protocol(config(message_latency=0.5))
+        base = chunk_trial(config())
+        slow = chunk_trial(config(message_latency=0.5))
         # same seed, same decisions, extra time for two messages per attempt
         assert slow.rounds_attempted == base.rounds_attempted
         assert slow.total_time == pytest.approx(
@@ -257,16 +275,16 @@ class TestSingleRun:
         # numpy forms too: _streams masks a signed numpy seed as a Python int
         for twin in (2**64 - 1, np.int64(-1), np.uint64(2**64 - 1)):
             for trial in (0, 9):
-                assert run_protocol(config(seed=twin), trial) == run_protocol(
+                assert chunk_trial(config(seed=twin), trial) == chunk_trial(
                     config(seed=-1), trial)
 
     def test_target_fidelity_stopping(self):
-        stats = run_protocol(config(target_rounds=None, target_fidelity=0.86))
+        stats = chunk_trial(config(target_rounds=None, target_fidelity=0.86))
         assert stats.final_fidelity >= 0.86
         assert stats.rounds_succeeded == 2  # pump map needs two successes
 
 
-def reference_run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolStats:
+def reference_run_protocol(config: ProtocolConfig, trial: int = 0) -> TrialStats:
     """The plain loop: one ``rng.random()`` per attempt, the config read in place."""
     rng = numpy_stream(config.seed, trial)
     f_current = config.f
@@ -298,7 +316,7 @@ def reference_run_protocol(config: ProtocolConfig, trial: int = 0) -> ProtocolSt
             # restoration: stored state unchanged, extra dwell time
             elapsed += config.restore_extra_time
 
-    return ProtocolStats(
+    return TrialStats(
         rounds_attempted=attempts,
         rounds_succeeded=successes,
         total_time=elapsed,
@@ -328,7 +346,7 @@ class TestReferenceLoop:
         for kwargs in self.CONFIGS:
             cfg = ProtocolConfig(**kwargs)
             for trial in range(50):
-                stats = run_protocol(cfg, trial)
+                stats = chunk_trial(cfg, trial)
                 # dataclass equality: every float compared exactly
                 assert stats == reference_run_protocol(cfg, trial), (kwargs, trial)
                 longest = max(longest, stats.rounds_attempted)
@@ -362,10 +380,7 @@ class TestStreams:
     def test_trial_index_is_one_entropy_word(self):
         # the proof beside MAX_TRIALS: every trial index fits one uint32 word
         assert MAX_TRIALS <= 2**32
-        for trial in (-1, MAX_TRIALS, 2**32, 1.0, True):
-            with pytest.raises(ConfigurationError, match="trial must be an integer"):
-                run_protocol(config(), trial)
-        assert run_protocol(config(), np.int64(MAX_TRIALS - 1)) == run_protocol(
+        assert chunk_trial(config(), np.int64(MAX_TRIALS - 1)) == chunk_trial(
             config(), MAX_TRIALS - 1)
 
 
@@ -378,16 +393,16 @@ class TestBatch:
         assert one.mean_attempts == many.mean_attempts
         assert one.attempts_by_round == many.attempts_by_round
 
-    def test_keeps_no_per_trial_results(self, monkeypatch):
-        # a batch builds no ProtocolStats, in this process or in a pool
-        # process (forked with the patch), and yet runs run_protocol's trials
+    def test_keeps_no_per_trial_results(self):
+        # a chunk keeps each trial as three numbers in flat float arrays,
+        # and a batch, in this process or in pool processes, runs the
+        # reference loop's trials
         cfg = config(seed=8)
-        expect = tuple(run_protocol(cfg, t).rounds_attempted for t in range(500))
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("simulate_batch built a ProtocolStats")
-
-        monkeypatch.setattr(ProtocolStats, "__init__", refuse)
+        expect = tuple(reference_run_protocol(cfg, t).rounds_attempted for t in range(500))
+        chunk = montecarlo._run_chunk(cfg, range(500))
+        for array in (chunk.attempts, chunk.times, chunk.finals):
+            assert type(array) is np.ndarray and array.dtype == float
+            assert array.shape == (500,)
         for workers in (1, 2):
             assert simulate_batch(cfg, 500, workers=workers).attempts_per_trial == expect
 
