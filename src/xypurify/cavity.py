@@ -40,12 +40,14 @@ The right-hand sides it calls work on y = (Re c, Im c) in plain Python
 float arithmetic, summing g . c left to right, and build one array per
 call, the returned derivative: on vectors of 3 to 8 entries numpy's
 per-call cost would outweigh the arithmetic.
-The transit integrals use Gauss-Legendre quadrature, and the constant
-models' propagators the eigendecomposition of their real symmetric
-generators.
+The transit integrals use Gauss-Legendre quadrature.  The constant
+mean-coupling model's endpoint is its closed form, and the ring exchange
+it is compared with is the one-excitation block of
+:func:`xypurify.xy.evolve_triplet`, the ring propagator every round uses.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import deque
@@ -55,6 +57,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, GeometryError, StiffnessError
+from .xy import evolve_triplet
 
 ADIABATIC_RATIO_MIN = 20.0
 DEFAULT_SPAN = 5.0          # conveyed atoms cover |z| <= DEFAULT_SPAN waists
@@ -632,23 +635,6 @@ def asymptotic_hamiltonian(geom: CavityGeometry) -> AsymptoticCouplings:
     )
 
 
-def _mean_hamiltonian_3(geom: CavityGeometry) -> np.ndarray:
-    """Constant mean-coupling generator in the single-excitation basis.
-
-    Uniform level shift J on every excited atom plus hopping 2J between
-    every pair, J = mean_coupling^2 / delta.
-    """
-    j = geom.j_effective
-    hop = np.ones((3, 3)) - np.eye(3)
-    return j * (np.eye(3) + 2.0 * hop)
-
-
-def _ring_exchange_3(geom: CavityGeometry) -> np.ndarray:
-    """Pure ring-exchange generator (no level shift), 2J hopping."""
-    j = geom.j_effective
-    return 2.0 * j * (np.ones((3, 3)) - np.eye(3))
-
-
 def distance_mod_phase(a: np.ndarray, b: np.ndarray) -> float:
     """Vector distance minimized over a global phase."""
     overlap = abs(np.vdot(a, b))
@@ -680,17 +666,23 @@ class AgreementReport:
 # the excitation starts on conveyed atom 1, with no photon
 _C3 = np.array([1.0, 0.0, 0.0], dtype=complex)
 _C4 = np.concatenate(([0.0 + 0j], _C3))
-
-
-def _propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for a real symmetric h, from its eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.T
+# the one-excitation states |100>, |010>, |001> of a triplet: the excitation
+# on atom 1, 2 or 3
+_ONE_EXCITATION = [4, 2, 1]
 
 
 def _mean_endpoint(geom: CavityGeometry) -> np.ndarray:
-    """Atomic amplitudes after one transit of the constant mean-coupling model."""
-    return _propagator(_mean_hamiltonian_3(geom), geom.t_prime) @ _C3
+    """Atomic amplitudes after one transit of the constant mean-coupling model.
+
+    The generator is J (I + 2K), K = ones - I, J = mean_coupling^2 / delta:
+    a level shift J on every excited atom plus hopping 2J between every
+    pair.  It is 5J on (1, 1, 1)/sqrt(3) and -J on its complement, so from
+    atom 1 the endpoint is e^{-5iJt'}/3 (1, 1, 1) + e^{iJt'} (e_1 - (1, 1, 1)/3).
+    """
+    jt = geom.j_effective * geom.t_prime
+    uniform = cmath.exp(-5j * jt) / 3.0
+    rest = cmath.exp(1j * jt) / 3.0
+    return np.array([uniform + 2.0 * rest, uniform - rest, uniform - rest])
 
 
 def xy_agreement(geom: CavityGeometry, *,
@@ -713,10 +705,11 @@ def xy_agreement(geom: CavityGeometry, *,
     tp = geom.t_prime
 
     mean_end = _mean_endpoint(geom)
-    u_xy = _propagator(_ring_exchange_3(geom), tp)
-    # single-excitation sector: the level-shift correction is the scalar
-    # phase exp(-i J t')
-    corrected_xy_end = np.exp(-1j * geom.j_effective * tp) * (u_xy @ _C3)
+    # the ring exchange 2J K is the unit ring's one-excitation block at J t',
+    # here its column |100> (_C3), and the level shift J adds the scalar
+    # phase exp(-i J t') there
+    jt = geom.j_effective * tp
+    corrected_xy_end = cmath.exp(-1j * jt) * evolve_triplet(jt)[_ONE_EXCITATION, 4]
 
     full_atoms = full.endpoint[1:]
 

@@ -307,8 +307,7 @@ def cmd_montecarlo(config_path: str, trials_csv: str | None, workers: int,
         "attempts_by_round": list(batch.attempts_by_round),
         "successes_by_round": list(batch.successes_by_round),
         # the sum the config's attempts bound computed: one walk of the map
-        "expected_attempts_analytic": (
-            config._mean_attempts if config.target_rounds is not None else None),
+        "expected_attempts_analytic": config._mean_attempts,
     }
     _emit_json(payload, output)
     if trials_csv:

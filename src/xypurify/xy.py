@@ -21,11 +21,13 @@ times the projectors on -2, 0 and 4 are the integer matrices
 
     A = 2 H (H - 4),   B = -3 (H + 2)(H - 4),   C = (H + 2) H,
 
-built once here in ints.  :func:`evolve_triplet`, the one propagator,
-for one triplet, is exp(-i H t) = (e^{2it} A + B + e^{-4it} C) / 24.  At J t = m pi both phases are 1 and it is (A + B + C) / 24 =
-I, the identity, up to the rounding of t itself.  A round's two triplets
-evolve under its Kronecker square, which :func:`xypurify.rounds.run_round`
-builds (and the docstring there shows why it is unitary to a few ulp).
+built once here in ints, from H itself built in ints by its hopping
+rule.  :func:`evolve_triplet`, the one propagator, for one triplet, is
+exp(-i H t) = (e^{2it} A + B + e^{-4it} C) / 24.  At J t = m pi both
+phases are 1 and it is (A + B + C) / 24 = I, the identity, up to the
+rounding of t itself.  A round's two triplets evolve under its Kronecker
+square, which :func:`xypurify.rounds.run_round` builds (and the docstring
+there shows why it is unitary to a few ulp).
 """
 from __future__ import annotations
 
@@ -37,29 +39,24 @@ import numpy as np
 
 from .errors import DomainError
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-
-
-def _op_on(op: np.ndarray, site: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for k in range(3):
-        out = np.kron(out, op if k == site else np.eye(2, dtype=complex))
-    return out
-
 
 def _xy_unit() -> np.ndarray:
-    """H in units J = 1: sum over ring bonds of (XX + YY)."""
-    h = np.zeros((8, 8), dtype=complex)
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        h += _op_on(PAULI_X, i) @ _op_on(PAULI_X, j)
-        h += _op_on(PAULI_Y, i) @ _op_on(PAULI_Y, j)
+    """H in units J = 1, in ints: sum over ring bonds of (XX + YY).
+
+    XX + YY on a bond maps |01> to 2 |10> and back, and |00> and |11> to
+    0: H[s', s] = 2 where s' is s with the two differing bits of a bond
+    swapped.  All three pairs are bonds, so the bit order does not matter.
+    """
+    h = np.zeros((8, 8), dtype=int)
+    for s in range(8):
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            if (s >> i ^ s >> j) & 1:
+                h[s ^ (1 << i | 1 << j), s] = 2
     return h
 
 
 def _projectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A, B, C: 24 times the projectors of H on -2, 0 and 4, in ints."""
-    h = h.real.astype(int)      # entries 0 and 2, exact
     eye = np.eye(8, dtype=int)
     return 2 * h @ (h - 4 * eye), -3 * (h + 2 * eye) @ (h - 4 * eye), (h + 2 * eye) @ h
 

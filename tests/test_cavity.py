@@ -21,7 +21,7 @@ from xypurify import (
     solve_geometry,
     xy_agreement,
 )
-from xypurify import cavity
+from xypurify import cavity, evolve_triplet
 from xypurify.cavity import (
     _DOP_A,
     _DOP_C,
@@ -33,9 +33,7 @@ from xypurify.cavity import (
     _endpoint,
     _full_steps,
     _integrate,
-    _mean_hamiltonian_3,
-    _propagator,
-    _ring_exchange_3,
+    _mean_endpoint,
     distance_mod_phase,
     peak_collective_coupling,
 )
@@ -664,9 +662,20 @@ class TestScipyReference:
                               * _coupling_vector(geom, t)[k], t_a, t_b, limit=200)
                 assert c[i, k] == pytest.approx(val / scale, rel=1e-14, abs=0)
 
-    def test_eigh_propagator_matches_expm(self):
-        for delta in (20.0, -50.0, 100.0):
-            geom = default_geom(delta=delta)
-            for h in (_mean_hamiltonian_3(geom), _ring_exchange_3(geom)):
-                np.testing.assert_allclose(_propagator(h, geom.t_prime),
-                                           expm(-1j * h * geom.t_prime), rtol=0, atol=1e-14)
+    @pytest.mark.parametrize("v", [0.5, 0.05])
+    @pytest.mark.parametrize("delta", [20.0, -50.0, 100.0])
+    def test_constant_models_match_expm(self, delta, v):
+        # both constant models against expm of their 3x3 generators, built
+        # here: J (I + 2K) for the mean-coupling model, 2J K for the ring
+        # exchange, K the triangle's adjacency matrix
+        geom = default_geom(delta=delta, v=v)
+        j, tp = geom.j_effective, geom.t_prime
+        k = np.ones((3, 3)) - np.eye(3)
+        np.testing.assert_allclose(_mean_endpoint(geom),
+                                   expm(-1j * tp * j * (np.eye(3) + 2.0 * k)) @ C3,
+                                   rtol=0, atol=1e-14)
+        # the one-excitation block of the unit ring, |100>, |010>, |001>
+        one = [4, 2, 1]
+        np.testing.assert_allclose(evolve_triplet(j * tp)[np.ix_(one, one)],
+                                   expm(-1j * tp * 2.0 * j * k), rtol=0, atol=1e-14)
+        assert xy_agreement(geom).distance_mean_corrected_xy <= 1e-15

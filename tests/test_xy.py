@@ -9,7 +9,7 @@ from xypurify import (
 from xypurify import xy
 from xypurify.xy import _XY_UNIT
 
-from oracle import ring_pair, six_qubit_state
+from oracle import RING_H, ring_pair, six_qubit_state
 
 
 def composite_bell_product(rng):
@@ -30,6 +30,11 @@ def number_operator(n=3):
 
 
 class TestHamiltonian:
+    def test_hopping_rule_is_the_pauli_sum(self):
+        # the int hopping rule against XX + YY on each bond, from Pauli
+        # Kronecker products, entry for entry
+        assert np.array_equal(_XY_UNIT, RING_H)
+
     def test_hermitian(self):
         h = _XY_UNIT
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
@@ -82,12 +87,11 @@ class TestHamiltonian:
 
 class TestProjectors:
     # exact in ints: 24 times the spectral projectors of H on -2, 0 and 4
-    H = _XY_UNIT.real.astype(int)
+    H = _XY_UNIT
     PROJECTORS = {-2: xy._XY_A, 0: xy._XY_B, 4: xy._XY_C}
 
     def test_integer_matrices_sum_to_24_identity(self):
-        assert all(p.dtype.kind == "i" for p in self.PROJECTORS.values())
-        assert np.array_equal(self.H, _XY_UNIT)
+        assert all(p.dtype.kind == "i" for p in (self.H, *self.PROJECTORS.values()))
         assert np.array_equal(sum(self.PROJECTORS.values()), 24 * np.eye(8, dtype=int))
 
     @pytest.mark.parametrize("eigenvalue", [-2, 0, 4])
