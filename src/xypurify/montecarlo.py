@@ -8,19 +8,21 @@ restored by completing the evolution period, costing extra dwell
 time).  Inconclusive non-destructive readouts are folded into the
 failure branch by thinning the success probability.
 
-Each attempt evaluates the scalar pump map
-:func:`xypurify.rounds.closed_form_general` at the current stored
-fidelity and unpacks the (F, P) tuple it returns; the pump trajectory
-does not depend on the draws, so a schedule precomputed once per config
-could replace these calls.  Each attempt takes the next uniform of its
-trial's stream; the uniforms are drawn from that stream in blocks, the
-same doubles as one draw per attempt.  :class:`ProtocolConfig` walks the
-same map once, through the shared iterator of :mod:`xypurify.pumping`,
-for its attempts bound, and keeps the sum: the analytic mean
-:func:`expected_attempts`.
+The draws decide only when each success comes: every trial advances
+along the same pump map, so it succeeds in the same R rounds and ends
+at the same F_R.  :class:`ProtocolConfig` walks that map once, through
+the shared iterator of :mod:`xypurify.pumping`, and keeps R, F_R and
+the analytic mean attempt count :func:`expected_attempts`; a batch's
+``mean_final_fidelity`` and ``successes_by_round`` are read off that
+walk.  A trial runs until its R-th success.  Each attempt evaluates the
+scalar pump map :func:`xypurify.rounds.closed_form_general` at the
+current stored fidelity and unpacks the (F, P) tuple it returns; the
+walk's (F_k, P_k) could replace these calls.  Each attempt takes the
+next uniform of its trial's stream; the uniforms are drawn from that
+stream in blocks, the same doubles as one draw per attempt.
 :func:`simulate_batch` is the one runner of trials: it keeps each
-trial's outcome as a few numbers in flat arrays, not as a record per
-trial.
+trial's attempts and time in flat arrays and adds its per-round
+attempts into one R-long sum, not a record per trial.
 
 Reproducibility: every trial draws from its own stream, numpy's
 ``default_rng([seed, trial index])`` reseeded in place (:func:`_streams`),
@@ -34,7 +36,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import islice, zip_longest
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -146,14 +148,15 @@ class ProtocolConfig:
             limit = fixed_point(self.f)
             if not self.f <= self.target_fidelity < limit:
                 raise ConfigurationError(
-                    f"target fidelity {self.target_fidelity} is unreachable; "
-                    f"the pump map for f = {self.f} is bounded by the fixed "
-                    f"point {limit:.12g}")
+                    f"target fidelity {self.target_fidelity} must lie in [f, fixed "
+                    f"point) = [{self.f}, {limit:.12g}), the range the pump map "
+                    f"for f = {self.f} reaches")
             rounds = _rounds_to(self.f, self.target_fidelity, limit)
-        # not a field: fields() lists the CLI's config keys, and repr and
+        # not fields: fields() lists the CLI's config keys, and repr and
         # equality stay those of the fields
-        object.__setattr__(self, "_mean_attempts",
-                           _expected_total(rounds, self.p_inconclusive))
+        for name, value in zip(("_rounds", "_final", "_mean_attempts"),
+                               _walk(self.f, rounds, self.p_inconclusive)):
+            object.__setattr__(self, name, value)
 
 
 def _rounds_to(f: float, target: float, limit: float) -> Iterator[tuple[float, float]]:
@@ -174,21 +177,23 @@ def _rounds_to(f: float, target: float, limit: float) -> Iterator[tuple[float, f
         f"f = {f} does not reach it in {MAX_ROUNDS} rounds (fixed point {limit:.12g})")
 
 
-def _expected_total(rounds: Iterable[tuple[float, float]], p_inconclusive: float) -> float:
-    """Mean attempts over ``rounds``, a sum of geometric means.
+def _walk(f: float, rounds: Iterable[tuple[float, float]],
+          p_inconclusive: float) -> tuple[int, float, float]:
+    """The round count R, the fidelity F_R (f if R = 0) and the mean attempts.
 
-    Raises as soon as the sum passes ``MAX_EXPECTED_ATTEMPTS``, so a
-    config whose trials would run without practical bound is rejected
-    before any draw.
+    The mean is a sum of geometric means over ``rounds``, the walk of
+    the pump map from F_0 = ``f``.  Raises as soon as the sum passes
+    ``MAX_EXPECTED_ATTEMPTS``, so a config whose trials would run
+    without practical bound is rejected before any draw.
     """
-    total = 0.0
-    for _, p_succ in rounds:
+    count, final, total = 0, f, 0.0
+    for count, (final, p_succ) in enumerate(rounds, start=1):
         total += 1.0 / (p_succ * (1.0 - p_inconclusive))
         if total > MAX_EXPECTED_ATTEMPTS:
             raise ConfigurationError(
                 f"a trial needs at least {total:.0f} attempts on average, "
                 f"above the bound of {MAX_EXPECTED_ATTEMPTS}")
-    return total
+    return count, final, total
 
 
 def _streams(seed: int) -> Callable[[int], np.random.Generator]:
@@ -233,57 +238,59 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
         yield from rng.random(_DRAW_BLOCK).tolist()
 
 
-def _trial(config: ProtocolConfig,
-           rng: np.random.Generator) -> tuple[int, float, list[float], list[int]]:
-    """One trial's attempts, total time, fidelity history and attempts per round.
+def _trial(config: ProtocolConfig, rng: np.random.Generator,
+           by_round: list[int]) -> tuple[int, float]:
+    """One trial's attempts and total time; round k's attempts go into ``by_round[k]``.
 
-    Attempt k compares the k-th uniform of ``rng`` with its thinned
-    success probability, and evaluates
-    :func:`xypurify.rounds.closed_form_general` at the stored fidelity.
+    The trial runs the config's R rounds.  Attempt k compares the k-th
+    uniform of ``rng`` with its thinned success probability, and
+    evaluates :func:`xypurify.rounds.closed_form_general` at the stored
+    fidelity.
     """
     uniform = _uniforms(rng).__next__
     f = f_current = config.f
-    target_rounds, target_fidelity = config.target_rounds, config.target_fidelity
+    rounds = config._rounds
     keep = 1.0 - config.p_inconclusive
     gate, restore = config.gate_time, config.restore_extra_time
     messages = MESSAGES_PER_ATTEMPT * config.message_latency
 
-    history = [f_current]
-    attempts_per_round: list[int] = []
     attempts = successes = 0
     last = 0               # the attempt count at the last success
     elapsed = 0.0
 
-    while (successes < target_rounds if target_rounds is not None
-           else f_current < target_fidelity):
+    while successes < rounds:
         fid, p = closed_form_general(f, f_current)
         attempts += 1
         # (elapsed + gate) + messages: the two roundings of two +=
         elapsed = elapsed + gate + messages
         if uniform() < p * keep:
             f_current = fid
+            by_round[successes] += attempts - last
             successes += 1
-            history.append(f_current)
-            attempts_per_round.append(attempts - last)
             last = attempts
         else:
             # restoration: stored state unchanged, extra dwell time
             elapsed += restore
-    return attempts, elapsed, history, attempts_per_round
+    return attempts, elapsed
 
 
 @dataclass(frozen=True)
 class BatchStats:
-    """Aggregate over independent trials of the same configuration."""
+    """Aggregate over independent trials of the same configuration.
+
+    Every trial succeeds in the config's R rounds and ends at F_R, so
+    ``mean_final_fidelity`` and ``successes_by_round`` are fixed by the
+    config's walk of the pump map; only attempts and times are drawn.
+    """
 
     trials: int
     mean_attempts: float
     attempts_halfwidth: float      # 1.96 sigma / sqrt(trials)
     mean_time: float
     time_halfwidth: float
-    mean_final_fidelity: float
+    mean_final_fidelity: float     # F_R, the walk's last fidelity
     attempts_by_round: tuple[int, ...]    # attempts targeting round k
-    successes_by_round: tuple[int, ...]
+    successes_by_round: tuple[int, ...]   # trials, once per round
     attempts_per_trial: tuple[int, ...] = field(repr=False)
 
 
@@ -292,39 +299,24 @@ class _Chunk(NamedTuple):
 
     attempts: np.ndarray        # attempts of each trial
     times: np.ndarray           # total time of each trial
-    finals: np.ndarray          # final fidelity of each trial
-    attempts_by_round: list[int]
-    successes_by_round: list[int]
+    attempts_by_round: list[int]    # R sums over the trials
 
 
 def _run_chunk(config: ProtocolConfig, trials: range) -> _Chunk:
-    """Run ``trials`` on one reseeded generator, keeping a few numbers of each."""
+    """Run ``trials`` on one reseeded generator, keeping two numbers of each."""
     at = _streams(config.seed)
-    attempts, times, finals = (np.empty(len(trials)) for _ in range(3))
-    attempts_by_round: list[int] = []
-    successes_by_round: list[int] = []
+    attempts, times = np.empty(len(trials)), np.empty(len(trials))
+    by_round = [0] * config._rounds
     for i, trial in enumerate(trials):
-        attempts[i], times[i], history, per_round = _trial(config, at(trial))
-        finals[i] = history[-1]
-        for k, n_att in enumerate(per_round):
-            if k == len(attempts_by_round):
-                attempts_by_round.append(0)
-                successes_by_round.append(0)
-            attempts_by_round[k] += n_att
-            successes_by_round[k] += 1
-    return _Chunk(attempts, times, finals, attempts_by_round, successes_by_round)
+        attempts[i], times[i] = _trial(config, at(trial), by_round)
+    return _Chunk(attempts, times, by_round)
 
 
 def _join(parts: list[_Chunk]) -> _Chunk:
     """Chunks of consecutive trial ranges as one chunk, in trial order."""
-    def add(sums: Iterable[list[int]]) -> list[int]:
-        return [sum(k) for k in zip_longest(*sums, fillvalue=0)]
-
     return _Chunk(np.concatenate([p.attempts for p in parts]),
                   np.concatenate([p.times for p in parts]),
-                  np.concatenate([p.finals for p in parts]),
-                  add(p.attempts_by_round for p in parts),
-                  add(p.successes_by_round for p in parts))
+                  [sum(k) for k in zip(*(p.attempts_by_round for p in parts))])
 
 
 def simulate_batch(config: ProtocolConfig, trials: int,
@@ -365,9 +357,9 @@ def simulate_batch(config: ProtocolConfig, trials: int,
         attempts_halfwidth=halfwidth(run.attempts),
         mean_time=float(run.times.mean()),
         time_halfwidth=halfwidth(run.times),
-        mean_final_fidelity=float(run.finals.mean()),
+        mean_final_fidelity=config._final,
         attempts_by_round=tuple(run.attempts_by_round),
-        successes_by_round=tuple(run.successes_by_round),
+        successes_by_round=(int(trials),) * config._rounds,
         attempts_per_trial=tuple(run.attempts.astype(int).tolist()),
     )
 

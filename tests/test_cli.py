@@ -615,8 +615,8 @@ class TestMonteCarloCommand:
         path = self.make_config(tmp_path, trials=20)
         payload = json.loads(run_ok(runner, ["montecarlo", "--config", str(path)]).stdout)
         assert walks == [0.75]
-        assert payload["expected_attempts_analytic"] == montecarlo._expected_total(
-            islice(original(0.75), 3), 0.0)
+        assert payload["expected_attempts_analytic"] == montecarlo._walk(
+            0.75, islice(original(0.75), 3), 0.0)[2]
 
     def test_expected_attempts_for_a_target_fidelity(self, runner, tmp_path):
         # the other stopping rule reports its config's sum too, not null
@@ -625,7 +625,7 @@ class TestMonteCarloCommand:
                                     "p_inconclusive": 0.3, "trials": 20, "seed": 5}))
         payload = json.loads(run_ok(runner, ["montecarlo", "--config", str(path)]).stdout)
         rounds = montecarlo._rounds_to(0.8, 0.9, montecarlo.fixed_point(0.8))
-        assert payload["expected_attempts_analytic"] == montecarlo._expected_total(rounds, 0.3)
+        assert payload["expected_attempts_analytic"] == montecarlo._walk(0.8, rounds, 0.3)[2]
 
     def test_single_trial_output_is_strict_json(self, runner, tmp_path):
         # one trial has no halfwidth; JSON has no NaN literal, so it is null

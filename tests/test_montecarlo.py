@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from itertools import islice
@@ -44,17 +45,18 @@ class TrialStats:
     rounds_attempted: int
     rounds_succeeded: int
     total_time: float
-    final_fidelity: float
-    fidelity_history: tuple[float, ...]
     attempts_per_round: tuple[int, ...]
 
 
 def chunk_trial(config: ProtocolConfig, trial: int = 0) -> TrialStats:
-    """Trial ``trial`` as a batch chunk runs it: its reseeded stream into ``_trial``."""
-    attempts, elapsed, history, per_round = montecarlo._trial(
-        config, montecarlo._streams(config.seed)(trial))
-    return TrialStats(attempts, len(per_round), elapsed, history[-1], tuple(history),
-                      tuple(per_round))
+    """Trial ``trial`` as a batch chunk runs it: its reseeded stream into ``_trial``.
+
+    The trial adds its per-round attempts into its own R-long list.
+    """
+    per_round = [0] * config._rounds
+    attempts, elapsed = montecarlo._trial(
+        config, montecarlo._streams(config.seed)(trial), per_round)
+    return TrialStats(attempts, len(per_round), elapsed, tuple(per_round))
 
 
 REAL_FIELDS = ("f", "target_fidelity", "p_inconclusive", "gate_time",
@@ -80,6 +82,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError) as err:
             ProtocolConfig(f=0.75, target_fidelity=limit + 1e-6, seed=1)
         assert f"{limit:.6f}"[:6] in str(err.value)
+        # a target below f gets the same message, naming the range from f
+        with pytest.raises(ConfigurationError) as low:
+            ProtocolConfig(f=0.8, target_fidelity=0.7, seed=1)
+        assert f"[f, fixed point) = [0.8, {fixed_point(0.8):.12g})" in str(low.value)
         # at f = 0.55 the floating-point recurrence settles a few ulps below
         # the closed-form fixed point; a target between the two is rejected
         x = settled = 0.55
@@ -128,9 +134,9 @@ class TestConfigValidation:
         assert [f.name for f in dataclasses.fields(cfg)] == [
             "f", "target_rounds", "target_fidelity", "p_inconclusive", "seed",
             *TIMES]
-        assert "_mean_attempts" not in repr(cfg)
-        assert cfg._mean_attempts == montecarlo._expected_total(
-            islice(montecarlo._werner_rounds(0.75), 4), 0.0)
+        assert not re.search(r"\b_", repr(cfg))
+        assert (cfg._rounds, cfg._final, cfg._mean_attempts) == montecarlo._walk(
+            0.75, islice(montecarlo._werner_rounds(0.75), 4), 0.0)
         assert cfg == config()
 
     def test_expected_attempts_walks_the_map_once(self, monkeypatch):
@@ -140,7 +146,7 @@ class TestConfigValidation:
                             lambda f: walks.append(f) or original(f))
         total = expected_attempts(0.75, 5, 0.25)
         assert walks == [0.75]
-        assert total == montecarlo._expected_total(islice(original(0.75), 5), 0.25)
+        assert total == montecarlo._walk(0.75, islice(original(0.75), 5), 0.25)[2]
 
     def test_reachable_target_accepted(self):
         ProtocolConfig(f=0.75, target_fidelity=0.86, seed=1)
@@ -228,7 +234,9 @@ class TestConfigValidation:
     def test_numpy_integer_counts_accepted(self):
         cfg = ProtocolConfig(f=0.75, target_rounds=np.int64(3), seed=1)
         assert chunk_trial(cfg).rounds_succeeded == 3
-        assert simulate_batch(cfg, np.int32(4), workers=np.int64(1)).trials == 4
+        batch = simulate_batch(cfg, np.int32(4), workers=np.int64(1))
+        assert batch.trials == 4
+        assert [type(n) for n in batch.successes_by_round] == [int] * 3
         assert expected_attempts(0.75, np.int64(4)) == expected_attempts(0.75, 4)
 
     @pytest.mark.parametrize("kwargs", [{"trials": True}, {"trials": 2.0},
@@ -250,9 +258,13 @@ class TestSingleRun:
         assert a == b
 
     def test_history_follows_pump_map(self):
-        stats = chunk_trial(config(target_rounds=5))
-        expect = [0.75] + [r.fidelity for r in pump(0.75, 5).rounds]
-        np.testing.assert_allclose(stats.fidelity_history, expect, atol=1e-12)
+        # the reference loop's stored fidelities are the pump map's, bit for
+        # bit, and end at the config's F_R
+        cfg = config(target_rounds=5)
+        history: list[float] = []
+        reference_run_protocol(cfg, history=history)
+        assert history == [0.75] + [r.fidelity for r in pump(0.75, 5).rounds]
+        assert history[-1] == cfg._final
 
     def test_resource_accounting(self):
         stats = chunk_trial(config())
@@ -279,17 +291,24 @@ class TestSingleRun:
                     config(seed=-1), trial)
 
     def test_target_fidelity_stopping(self):
-        stats = chunk_trial(config(target_rounds=None, target_fidelity=0.86))
-        assert stats.final_fidelity >= 0.86
-        assert stats.rounds_succeeded == 2  # pump map needs two successes
+        cfg = config(target_rounds=None, target_fidelity=0.86)
+        history: list[float] = []
+        reference = reference_run_protocol(cfg, history=history)
+        assert history[-1] == cfg._final >= 0.86 > history[-2]
+        assert chunk_trial(cfg).rounds_succeeded == reference.rounds_succeeded == 2
 
 
-def reference_run_protocol(config: ProtocolConfig, trial: int = 0) -> TrialStats:
-    """The plain loop: one ``rng.random()`` per attempt, the config read in place."""
+def reference_run_protocol(config: ProtocolConfig, trial: int = 0,
+                           history: list[float] | None = None) -> TrialStats:
+    """The plain loop: one ``rng.random()`` per attempt, the config read in place.
+
+    The stored fidelity, F_0 = f and one per success, goes into ``history``.
+    """
     rng = numpy_stream(config.seed, trial)
     f_current = config.f
 
-    history = [f_current]
+    history = [] if history is None else history
+    history.append(f_current)
     attempts_per_round: list[int] = []
     attempts = successes = 0
     elapsed = 0.0
@@ -320,8 +339,6 @@ def reference_run_protocol(config: ProtocolConfig, trial: int = 0) -> TrialStats
         rounds_attempted=attempts,
         rounds_succeeded=successes,
         total_time=elapsed,
-        final_fidelity=f_current,
-        fidelity_history=tuple(history),
         attempts_per_round=tuple(attempts_per_round),
     )
 
@@ -394,17 +411,43 @@ class TestBatch:
         assert one.attempts_by_round == many.attempts_by_round
 
     def test_keeps_no_per_trial_results(self):
-        # a chunk keeps each trial as three numbers in flat float arrays,
-        # and a batch, in this process or in pool processes, runs the
-        # reference loop's trials
+        # a chunk keeps each trial as two numbers in flat float arrays and
+        # its per-round attempts in one R-long list, and a batch, in this
+        # process or in pool processes, runs the reference loop's trials
         cfg = config(seed=8)
-        expect = tuple(reference_run_protocol(cfg, t).rounds_attempted for t in range(500))
+        reference = [reference_run_protocol(cfg, t) for t in range(500)]
+        expect = tuple(r.rounds_attempted for r in reference)
         chunk = montecarlo._run_chunk(cfg, range(500))
-        for array in (chunk.attempts, chunk.times, chunk.finals):
+        assert len(chunk) == 3
+        for array in (chunk.attempts, chunk.times):
             assert type(array) is np.ndarray and array.dtype == float
             assert array.shape == (500,)
+        assert chunk.attempts_by_round == [sum(k) for k in zip(
+            *(r.attempts_per_round for r in reference))]
+        assert len(chunk.attempts_by_round) == cfg._rounds == 4
         for workers in (1, 2):
-            assert simulate_batch(cfg, 500, workers=workers).attempts_per_trial == expect
+            batch = simulate_batch(cfg, 500, workers=workers)
+            assert batch.attempts_per_trial == expect
+            assert batch.attempts_by_round == tuple(chunk.attempts_by_round)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [3, 5])
+    def test_final_fidelity_and_successes_from_the_walk(self, trials, workers):
+        # every trial ends at F_R, so the batch reports F_R itself, not a
+        # mean of copies that rounds differently with the trial count
+        batch = simulate_batch(config(target_rounds=3, seed=2**64 - 1), trials,
+                               workers=workers)
+        assert batch.mean_final_fidelity == pump(0.75, 3).rounds[-1].fidelity
+        assert batch.successes_by_round == (trials,) * 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_target_at_f_makes_no_attempt(self, workers):
+        batch = simulate_batch(config(target_rounds=None, target_fidelity=0.75), 5,
+                               workers=workers)
+        assert batch.attempts_per_trial == (0,) * 5
+        assert batch.mean_attempts == batch.mean_time == 0.0
+        assert batch.attempts_by_round == batch.successes_by_round == ()
+        assert batch.mean_final_fidelity == 0.75
 
     def test_pool_sized_to_chunks(self, monkeypatch):
         import concurrent.futures
